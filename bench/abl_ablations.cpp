@@ -1,4 +1,6 @@
-// Ablations for design choices DESIGN.md calls out:
+// Ablations for design choices the datapath and build docs argue for (the
+// first two are contracts in src/uknet/DATAPATH.md; bench/BENCH.md lists the
+// binary):
 //   1. interrupt-mode vs poll-mode uknetdev RX under rising load;
 //   2. virtqueue/TX batch-size sweep (where batching pays);
 //   3. syscall-shim indirection: direct vs table dispatch (real ns);

@@ -82,40 +82,40 @@ UKRAFT_QUEUES=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # above, and the durable-reboot fleet scenario rides tier2.
 (cd "$BUILD_DIR" && ./bench_persist)
 
+# Every ASan+UBSan leg runs under the same sanitizer options: a UBSan finding
+# fails the leg, and leak checking stays off. Extra NAME=VALUE arguments before
+# the command are passed through env.
+sanitized() {
+  env UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" "$@"
+}
+
 cmake -B "$ASAN_BUILD_DIR" -S . -DUKRAFT_WERROR=ON -DUKRAFT_SANITIZE=ON
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
-UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" UKRAFT_QUEUES=2 \
-  ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$JOBS"
+sanitized UKRAFT_QUEUES=2 ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Blocking-mode bench leg: wait queues, interrupt arming and the scheduler's
 # idle clock jumps under ASan+UBSan, sharded across 2 queues.
-UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" UKRAFT_QUEUES=2 \
-  "$ASAN_BUILD_DIR"/bench_fig_idle_wakeup --wait --queues 2 --rounds 40
+sanitized UKRAFT_QUEUES=2 "$ASAN_BUILD_DIR"/bench_fig_idle_wakeup --wait --queues 2 --rounds 40
 
 # Event-loop legs: the unified readiness path (uknet edges -> posix epoll ->
 # apps::EventLoop) serving 64 concurrent TCP connections from one blocked
 # thread, and the socket-batch kvstore sleeping in EpollWait between bursts.
 # Both binaries self-check (idle spins == 0, heap delta == 0) and fail the
 # leg on violation; UKRAFT_QUEUES=2 shards the TestBed-based kvstore leg.
-UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" UKRAFT_QUEUES=2 \
-  "$ASAN_BUILD_DIR"/bench_tab5_tcp_echo --eventloop
-UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" UKRAFT_QUEUES=2 \
-  "$ASAN_BUILD_DIR"/bench_tab4_kvstore --eventloop
+sanitized UKRAFT_QUEUES=2 "$ASAN_BUILD_DIR"/bench_tab5_tcp_echo --eventloop
+sanitized UKRAFT_QUEUES=2 "$ASAN_BUILD_DIR"/bench_tab4_kvstore --eventloop
 
 # Fleet leg under ASan+UBSan: the full multi-instance lifecycle — Instance
 # boot/shutdown/reboot, wire port reset, balancer flow teardown on MarkDown,
 # per-connection splice state — is exactly where lifetime bugs would hide.
 # The scenario suite and the scaling/cold-start gate both run sanitized.
-UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
-  ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -L tier2
-(cd "$ASAN_BUILD_DIR" && UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
-  ./bench_fleet_scaling)
+sanitized ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -L tier2
+(cd "$ASAN_BUILD_DIR" && sanitized ./bench_fleet_scaling)
 
 # Persistence leg under ASan+UBSan: snapshot chunking, COW-lite pre-images,
 # AOF segment rotation and the CRC replay path all shuffle byte buffers
 # through the blockfs bounce region — lifetime/offset territory.
-(cd "$ASAN_BUILD_DIR" && UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
-  ./bench_persist)
+(cd "$ASAN_BUILD_DIR" && sanitized ./bench_persist)
 
 # TCP loss-recovery leg: a 1 MB echo at 1% deterministic frame loss, modern
 # (NewReno + SACK + delayed ACKs + window scaling) vs legacy stop-and-wait.
@@ -125,8 +125,7 @@ UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
 # ASan+UBSan puts the recovery machinery -- scoreboard marking, retained-netbuf
 # re-emission, OOO range merging -- under lifetime/offset checking on every
 # push, and emits BENCH_tab5_tcp_loss.json next to the build dir.
-UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
-  "$ASAN_BUILD_DIR"/bench_tab5_tcp_echo --loss
+sanitized "$ASAN_BUILD_DIR"/bench_tab5_tcp_echo --loss
 
 # ThreadSanitizer flavor over the sharded/concurrency suites: the SPSC ring
 # acquire/release protocol, the per-queue doorbells and the 4-shard scale

@@ -1,8 +1,9 @@
 // ukarch/random.h - deterministic PRNG for workload generators.
 //
 // All benchmark workloads (key distributions, packet sizes, request mixes) draw
-// from this generator with fixed seeds so every figure in EXPERIMENTS.md is
-// reproducible bit-for-bit across runs and machines.
+// from this generator with fixed seeds so every figure bench (bench/BENCH.md)
+// and every end-to-end workload (bench/e2e/README.md) is reproducible
+// bit-for-bit across runs and machines.
 #ifndef UKARCH_RANDOM_H_
 #define UKARCH_RANDOM_H_
 

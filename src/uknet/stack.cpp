@@ -752,9 +752,6 @@ bool NetStack::HandleUdp(NetIf* netif, std::uint16_t queue, uknetdev::NetBuf* nb
   }
   sock.rx_.push_back(std::move(view));
   sock.RaiseEvent(kEvtReadable);  // demux push: the datagram is readable now
-  if (sock.rx_cb_) {
-    sock.rx_cb_();
-  }
   return retain;
 }
 

@@ -352,11 +352,6 @@ class UdpSocket : public SocketEventSource {
   // Device queue of the most recently delivered datagram (flow affinity).
   std::uint16_t last_rx_queue() const { return last_rx_queue_; }
 
-  // Optional callback invoked on datagram arrival (legacy event-loop hook;
-  // new consumers should register a SocketEventSink instead — the demux
-  // raises kEvtReadable on every datagram push).
-  void SetRxCallback(std::function<void()> cb) { rx_cb_ = std::move(cb); }
-
  private:
   friend class NetStack;
   explicit UdpSocket(NetStack* stack) : stack_(stack) {}
@@ -366,7 +361,6 @@ class UdpSocket : public SocketEventSource {
   std::uint16_t port_ = 0;
   bool explicitly_bound_ = false;
   std::deque<DatagramView> rx_;
-  std::function<void()> rx_cb_;
   std::uint16_t last_rx_queue_ = 0;
   static constexpr std::size_t kMaxQueue = 1024;
 };
@@ -395,6 +389,32 @@ struct TcpTxSegment {
   // the release. Cleared only with the segment (RFC 2018 reneging is not
   // modeled on this wire).
   bool sacked = false;
+};
+
+// The TCP receive buffer: a byte ring on the host heap. Bytes go in and come
+// out with one memcpy each (two where the copy crosses the wrap). Storage is
+// allocated on the first Append and doubled on demand, never beyond the cap
+// the caller passes (the socket's recv_cap) and never zero-filled, so a
+// connection's buffer is sized by the most it has had queued at once, not by
+// its cap.
+class RecvRing {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // Appends |data|; the caller guarantees size() + data.size() <= |cap|.
+  void Append(std::span<const std::uint8_t> data, std::size_t cap);
+  // Moves min(out.size(), size()) bytes into |out| and returns that count.
+  std::size_t Take(std::span<std::uint8_t> out);
+
+ private:
+  static constexpr std::size_t kMinCapacity = 512;
+  // Copies the oldest |n| bytes (n <= size_) to |dst| without consuming them.
+  void CopyFront(std::uint8_t* dst, std::size_t n) const;
+
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t capacity_ = 0;
+  std::size_t head_ = 0;  // index of the oldest byte
+  std::size_t size_ = 0;
 };
 
 class TcpSocket : public SocketEventSource {
@@ -608,7 +628,7 @@ class TcpSocket : public SocketEventSource {
   std::size_t recv_cap_ = kRecvBufCap;
 
   std::uint32_t rcv_nxt_ = 0;
-  std::deque<std::uint8_t> recv_buf_;
+  RecvRing recv_buf_;
   // Out-of-order reassembly: disjoint, sorted ranges above rcv_nxt_ waiting
   // for the hole to fill. Bounded (kMaxOooRanges, and counted against
   // RecvSpace() via ooo_buffered_) so a hostile sender cannot balloon the

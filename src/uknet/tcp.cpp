@@ -40,6 +40,64 @@ const char* TcpStateName(TcpState s) {
   return "?";
 }
 
+void RecvRing::CopyFront(std::uint8_t* dst, std::size_t n) const {
+  const std::size_t first = n < capacity_ - head_ ? n : capacity_ - head_;
+  std::memcpy(dst, buf_.get() + head_, first);
+  if (n > first) {
+    std::memcpy(dst + first, buf_.get(), n - first);
+  }
+}
+
+void RecvRing::Append(std::span<const std::uint8_t> data, std::size_t cap) {
+  if (data.empty()) {
+    return;
+  }
+  const std::size_t need = size_ + data.size();
+  if (need > capacity_) {
+    std::size_t grown = capacity_ != 0 ? capacity_ : kMinCapacity;
+    while (grown < need) {
+      grown *= 2;
+    }
+    grown = grown < cap ? grown : cap;
+    grown = grown > need ? grown : need;  // a cap shrunk below queued data
+    auto next = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
+    if (size_ != 0) {
+      CopyFront(next.get(), size_);
+    }
+    buf_ = std::move(next);
+    capacity_ = grown;
+    head_ = 0;
+  }
+  std::size_t tail = head_ + size_;
+  if (tail >= capacity_) {
+    tail -= capacity_;
+  }
+  const std::size_t first =
+      data.size() < capacity_ - tail ? data.size() : capacity_ - tail;
+  std::memcpy(buf_.get() + tail, data.data(), first);
+  if (data.size() > first) {
+    std::memcpy(buf_.get(), data.data() + first, data.size() - first);
+  }
+  size_ = need;
+}
+
+std::size_t RecvRing::Take(std::span<std::uint8_t> out) {
+  const std::size_t n = out.size() < size_ ? out.size() : size_;
+  if (n == 0) {
+    return 0;
+  }
+  CopyFront(out.data(), n);
+  head_ += n;
+  if (head_ >= capacity_) {
+    head_ -= capacity_;
+  }
+  size_ -= n;
+  if (size_ == 0) {
+    head_ = 0;  // start over at the front so the next Append stays in one piece
+  }
+  return n;
+}
+
 TcpSocket::~TcpSocket() { ReleaseAllSegments(); }
 
 void TcpSocket::SetBufferCaps(std::size_t send_cap, std::size_t recv_cap) {
@@ -152,11 +210,7 @@ std::int64_t TcpSocket::Recv(std::span<std::uint8_t> out) {
     return ukarch::Raw(ukarch::Status::kAgain);
   }
   bool was_zero_window = AdvertisedWindow() == 0;
-  std::size_t n = out.size() < recv_buf_.size() ? out.size() : recv_buf_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = recv_buf_.front();
-    recv_buf_.pop_front();
-  }
+  std::size_t n = recv_buf_.Take(out);
   if (was_zero_window && AdvertisedWindow() > 0 && state_ == TcpState::kEstablished) {
     // Window update so the stalled sender resumes.
     EmitSegment(kTcpAck, snd_nxt_);
@@ -686,9 +740,7 @@ void TcpSocket::DrainOutOfOrder() {
       // The bytes were already charged against RecvSpace while queued, so
       // moving them into recv_buf_ cannot overflow the cap.
       std::size_t skip = rcv_nxt_ - r.seq;  // 0 unless a retransmit overlapped
-      recv_buf_.insert(recv_buf_.end(),
-                       r.data.begin() + static_cast<std::ptrdiff_t>(skip),
-                       r.data.end());
+      recv_buf_.Append(std::span(r.data).subspan(skip), recv_cap_);
       rcv_nxt_ = r_end;
     }
     ooo_buffered_ -= r.data.size();
@@ -824,8 +876,7 @@ void TcpSocket::OnSegment(std::uint16_t rx_queue, const TcpHeader& hdr,
     if (hdr.seq == rcv_nxt_) {
       std::size_t space = RecvSpace();
       std::size_t n = payload.size() < space ? payload.size() : space;
-      recv_buf_.insert(recv_buf_.end(), payload.begin(),
-                       payload.begin() + static_cast<std::ptrdiff_t>(n));
+      recv_buf_.Append(payload.first(n), recv_cap_);
       rcv_nxt_ += static_cast<std::uint32_t>(n);
       bool filled_hole = false;
       if (!ooo_ranges_.empty()) {

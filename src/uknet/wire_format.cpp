@@ -1,5 +1,6 @@
 #include "uknet/wire_format.h"
 
+#include <bit>
 #include <cstring>
 
 namespace uknet {
@@ -40,14 +41,47 @@ std::string IpToString(Ip4Addr ip) {
 }
 
 std::uint16_t InternetChecksum(std::span<const std::uint8_t> data, std::uint32_t initial) {
-  std::uint32_t sum = initial;
-  std::size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<std::uint32_t>((data[i] << 8) | data[i + 1]);
+  // RFC 1071 §2: the one's-complement sum does not depend on byte order, so
+  // add native-order 32-bit words into a 64-bit accumulator (it cannot
+  // overflow below 16 GiB of input), fold to 16 bits, and swap once to get
+  // the big-endian word sum that |initial| is expressed in. The trailing odd
+  // byte is the high byte of a zero-padded big-endian word: loaded as {b, 0}
+  // it lands where every other word's first byte does.
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t sum = 0;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    sum += (w & 0xffffffffu) + (w >> 32);
   }
-  if (i < data.size()) {
-    sum += static_cast<std::uint32_t>(data[i] << 8);
+  if (n >= 4) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, p, 4);
+    sum += w;
+    p += 4;
+    n -= 4;
   }
+  if (n >= 2) {
+    std::uint16_t w = 0;
+    std::memcpy(&w, p, 2);
+    sum += w;
+    p += 2;
+    n -= 2;
+  }
+  if (n == 1) {
+    const std::uint8_t tail[2] = {*p, 0};
+    std::uint16_t w = 0;
+    std::memcpy(&w, tail, 2);
+    sum += w;
+  }
+  while ((sum >> 16) != 0) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    sum = ((sum >> 8) | (sum << 8)) & 0xffff;
+  }
+  sum += initial;
   while ((sum >> 16) != 0) {
     sum = (sum & 0xffff) + (sum >> 16);
   }
@@ -263,10 +297,11 @@ void TcpHeader::Serialize(std::uint8_t* out, Ip4Addr src_ip, Ip4Addr dst_ip,
   std::uint32_t init = PseudoHeaderSum(
       src_ip, dst_ip, kIpProtoTcp,
       static_cast<std::uint16_t>(hdr_bytes + payload.size()));
-  std::uint32_t sum = init;
-  for (std::size_t i = 0; i < hdr_bytes; i += 2) {
-    sum += static_cast<std::uint32_t>((out[i] << 8) | out[i + 1]);
-  }
+  // Chain the header's folded sum (the complement of its checksum) into the
+  // payload's: one's-complement addition is associative, so this equals the
+  // checksum over header and payload as one run.
+  const auto sum =
+      static_cast<std::uint16_t>(~InternetChecksum(std::span(out, hdr_bytes), init));
   std::uint16_t csum = InternetChecksum(payload, sum);
   PutU16(out + 16, csum);
 }

@@ -8,7 +8,9 @@
 // executes for real; only privilege/device-crossing costs are charged.
 //
 // The constants come from the paper's own Table 1 (syscall costs) plus widely
-// published KVM exit/vhost numbers; DESIGN.md documents the calibration.
+// published KVM exit/vhost numbers; the comment on each constant below names
+// its source, and bench/e2e/README.md ("Time base") shows how modeled cycles
+// and host time combine into the reported numbers.
 #ifndef UKPLAT_CLOCK_H_
 #define UKPLAT_CLOCK_H_
 

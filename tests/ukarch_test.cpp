@@ -1,9 +1,14 @@
-// Tests for ukarch helpers: alignment math, hashes, deterministic RNG.
+// Tests for ukarch helpers: alignment math, hashes, deterministic RNG, CRC-32C.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "ukarch/align.h"
+#include "ukarch/crc32.h"
 #include "ukarch/hash.h"
 #include "ukarch/random.h"
 #include "ukarch/status.h"
@@ -107,6 +112,72 @@ TEST(Random, ZipfishSkew) {
   }
   // min-of-three sampling concentrates mass at small indices: P(<20) ~ 1-0.8^3.
   EXPECT_GT(low, kDraws / 3u);
+}
+
+// Bit-at-a-time CRC-32C: the definition the sliced tables must reproduce.
+std::uint32_t ReferenceCrc32c(std::span<const std::byte> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, Rfc3720KnownAnswers) {
+  // RFC 3720 appendix B.4 CRC-32C examples.
+  std::array<std::byte, 32> buf{};
+  EXPECT_EQ(Crc32Of(buf), 0x8A9136AAu);
+  buf.fill(std::byte{0xFF});
+  EXPECT_EQ(Crc32Of(buf), 0x62A8AB43u);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(i);
+  }
+  EXPECT_EQ(Crc32Of(buf), 0x46DD794Eu);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(31 - i);
+  }
+  EXPECT_EQ(Crc32Of(buf), 0x113FDB5Cu);
+  const std::string_view check = "123456789";
+  EXPECT_EQ(Crc32Of(std::as_bytes(std::span(check))), 0xE3069283u);
+}
+
+TEST(Crc32, MatchesBitwiseReference) {
+  // Every length up to three slices plus a tail, at every start offset mod 8.
+  std::vector<std::byte> buf(8 + 3 * 8 + 7);
+  Xorshift rng(3720);
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; offset + len <= buf.size(); ++len) {
+      const std::span<const std::byte> span(buf.data() + offset, len);
+      EXPECT_EQ(Crc32Of(span), ReferenceCrc32c(span)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, UpdateAtEverySplitMatchesOneShot) {
+  std::vector<std::byte> buf(1024);
+  Xorshift rng(1024);
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  const std::uint32_t whole = Crc32Of(buf);
+  EXPECT_EQ(whole, ReferenceCrc32c(buf));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    Crc32 c;
+    c.Update(std::span(buf).first(split));
+    c.Update(buf.data() + split, buf.size() - split);
+    ASSERT_EQ(c.value(), whole) << "split " << split;
+  }
+  Crc32 c;
+  c.Update(buf);
+  c.Reset();
+  c.Update(buf);
+  EXPECT_EQ(c.value(), whole);
 }
 
 TEST(Status, RoundTrip) {

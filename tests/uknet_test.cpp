@@ -4,12 +4,14 @@
 // and posix suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 
 #include "net_harness.h"
 #include "ukalloc/registry.h"
+#include "ukarch/random.h"
 #include "uknet/stack.h"
 #include "uknetdev/virtio_net.h"
 
@@ -391,6 +393,74 @@ TEST_F(TwoHostTest, TcpBulkTransferSegmentsAndReassembles) {
   EXPECT_GT(client->tcp_stats().segments_sent, data.size() / TcpSocket::kMss);
 }
 
+// The receive window end to end: a receiver that stops reading closes the
+// window to zero, and only its reads reopen it — the zero-window update that
+// Recv emits is the one thing that restarts the sender (no RTO, no probe).
+TEST_F(TwoHostTest, TcpZeroWindowReopensThroughReads) {
+  constexpr std::size_t kRecvCap = 4 * TcpSocket::kMss;
+  auto listener = b_.stack->TcpListen(9001);
+  listener->SetBufferCaps(TcpSocket::kSendBufCap, kRecvCap);
+  auto client = a_.stack->TcpConnect(MakeIp(10, 0, 0, 2), 9001);
+  ASSERT_TRUE(PumpUntil([&] { return client->connected() && listener->backlog() > 0; }));
+  auto server_sock = listener->Accept();
+  ASSERT_EQ(server_sock->recv_cap(), kRecvCap);
+
+  std::vector<std::uint8_t> data(64 * 1024);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8));
+  }
+  std::size_t sent = 0;
+  auto push = [&] {
+    if (sent < data.size()) {
+      std::int64_t n = client->Send(std::span(data.data() + sent, data.size() - sent));
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+      }
+    }
+  };
+
+  // The receiver does not read: the sender runs into a zero window.
+  ASSERT_TRUE(PumpUntil([&] {
+    push();
+    return client->send_window() == 0;
+  }));
+  ASSERT_LT(client->send_space(), client->send_cap());  // data is stuck behind it
+
+  // Drain with odd read sizes, one read between polls. A read out of a
+  // closed window sends a window update (a pure ACK from Recv itself), and
+  // only that update can restart the stalled sender: it has nothing in
+  // flight to draw an ACK with.
+  constexpr std::size_t kReads[] = {1, 7, 1399, 1401, 4096};
+  std::vector<std::uint8_t> received;
+  received.reserve(data.size());
+  std::vector<std::uint8_t> buf(4096);
+  std::uint64_t window_updates = 0;
+  for (std::size_t round = 0; round < 200000 && received.size() < data.size(); ++round) {
+    const std::size_t want = kReads[round % std::size(kReads)];
+    const std::uint64_t acks_before = server_sock->tcp_stats().pure_acks_sent;
+    std::int64_t r = server_sock->Recv(std::span(buf.data(), want));
+    if (server_sock->tcp_stats().pure_acks_sent != acks_before) {
+      ++window_updates;
+    }
+    if (r > 0) {
+      ASSERT_LE(static_cast<std::size_t>(r), want);
+      received.insert(received.end(), buf.begin(), buf.begin() + r);
+    }
+    push();
+    a_.stack->Poll();
+    if (round == 0) {
+      ASSERT_EQ(window_updates, 1u);
+      EXPECT_GT(client->send_window(), 0u) << "the 1-byte read's update reopens the window";
+    }
+    b_.stack->Poll();
+  }
+  ASSERT_EQ(received.size(), data.size());
+  EXPECT_EQ(received, data);
+  EXPECT_GE(window_updates, 2u);
+  EXPECT_EQ(client->tcp_stats().rto_retransmits, 0u);
+  EXPECT_EQ(client->tcp_stats().retransmissions, 0u);
+}
+
 TEST_F(TwoHostTest, TcpGracefulClose) {
   auto listener = b_.stack->TcpListen(21);
   auto client = a_.stack->TcpConnect(MakeIp(10, 0, 0, 2), 21);
@@ -559,6 +629,54 @@ TEST(WireFormatHardening, ChecksumCarryBoundaries) {
   // Initial value folds in (pseudo-header path).
   std::uint8_t zero2[] = {0x00, 0x00};
   EXPECT_EQ(InternetChecksum(zero2, 0x1ffff), static_cast<std::uint16_t>(~0x0001));
+}
+
+// The RFC 1071 definition, one big-endian 16-bit word per step: the
+// reference the word-wise InternetChecksum must match bit for bit.
+std::uint16_t ReferenceChecksum(std::span<const std::uint8_t> data, std::uint32_t initial) {
+  std::uint32_t sum = initial;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += static_cast<std::uint32_t>((data[i] << 8) | data[i + 1]);
+  }
+  if (i < data.size()) {
+    sum += static_cast<std::uint32_t>(data[i] << 8);
+  }
+  while ((sum >> 16) != 0) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum);
+}
+
+TEST(WireFormatHardening, ChecksumMatchesReferenceLoop) {
+  // Every length 0..2048 at every start offset 0..7 (the buffer is sized to
+  // end exactly at the span, so ASan flags any read past it), for all-zero,
+  // all-ones and seeded random bytes, folded onto four initial sums.
+  constexpr std::size_t kMaxLen = 2048;
+  constexpr std::uint32_t kInitials[] = {0, 0xffff, 0x1ffff, 0xfffff};
+  std::vector<std::uint8_t> random(kMaxLen + 8);
+  ukarch::Xorshift rng(1071);
+  for (std::uint8_t& b : random) {
+    b = static_cast<std::uint8_t>(rng.Next());
+  }
+  for (int pattern = 0; pattern < 3; ++pattern) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        std::vector<std::uint8_t> buf(offset + len);
+        if (pattern == 1) {
+          std::fill(buf.begin(), buf.end(), 0xff);
+        } else if (pattern == 2) {
+          std::copy_n(random.begin(), buf.size(), buf.begin());
+        }
+        const std::span<const std::uint8_t> span(buf.data() + offset, len);
+        for (std::uint32_t initial : kInitials) {
+          ASSERT_EQ(InternetChecksum(span, initial), ReferenceChecksum(span, initial))
+              << "pattern " << pattern << " offset " << offset << " len " << len
+              << " initial 0x" << std::hex << initial;
+        }
+      }
+    }
+  }
 }
 
 // ---- raw-frame peer (fixtures: net_harness.h) ---------------------------------------
