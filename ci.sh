@@ -60,6 +60,11 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L tier1
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L tier2
 
+# Real-thread scheduler teardown: a thread still blocked when its scheduler
+# dies must wait only on the baton it co-owns. A use-after-free there crashes
+# some runs and not others, so the real-thread tests repeat 50 times.
+"$BUILD_DIR"/uksched_test --gtest_filter='*RealThreads*' --gtest_repeat=50
+
 # SMP scale-out leg: the same suite at full RSS width (every TestBed-based
 # test runs 4 queues / 4 shards), then the cores-vs-throughput gate — the
 # scaling bench self-checks >=1.7x aggregate throughput at 2 queues and >=3x

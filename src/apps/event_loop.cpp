@@ -48,22 +48,27 @@ std::size_t EventLoop::PumpOnce(std::uint64_t timeout_cycles) {
   int n = api_->EpollWait(epfd_, std::span(ready_.data(), ready_.size()),
                           timeout_cycles);
   std::size_t dispatched = 0;
-  for (int i = 0; i < n; ++i) {
-    const posix::EpollEvent& ev = ready_[static_cast<std::size_t>(i)];
-    // Look the handler up per event: an earlier dispatch this turn may have
-    // removed (or replaced) it. A registration added DURING this turn (fd
-    // closed and its number reused by an accept) never receives the entry
-    // that was scanned for the old socket — it waits for the next scan.
-    auto it = handlers_.find(ev.fd);
-    if (it == handlers_.end() || it->second.added_turn == turns_) {
-      continue;
+  {
+    // Every reply this dispatch sends leaves in one TxBurst per queue when the
+    // batch closes: one doorbell for the turn, not one per segment.
+    uknet::NetStack::TxBatch batch(api_->net());
+    for (int i = 0; i < n; ++i) {
+      const posix::EpollEvent& ev = ready_[static_cast<std::size_t>(i)];
+      // Look the handler up per event: an earlier dispatch this turn may have
+      // removed (or replaced) it. A registration added DURING this turn (fd
+      // closed and its number reused by an accept) never receives the entry
+      // that was scanned for the old socket — it waits for the next scan.
+      auto it = handlers_.find(ev.fd);
+      if (it == handlers_.end() || it->second.added_turn == turns_) {
+        continue;
+      }
+      // Invoke a copy: the handler may Del its own fd, and erasing the map
+      // node mid-call would destroy the std::function while it executes.
+      Handler handler = it->second.handler;
+      handler(ev.fd, ev.events);
+      ++dispatched;
+      ++dispatches_;
     }
-    // Invoke a copy: the handler may Del its own fd, and erasing the map
-    // node mid-call would destroy the std::function while it executes.
-    Handler handler = it->second.handler;
-    handler(ev.fd, ev.events);
-    ++dispatched;
-    ++dispatches_;
   }
   for (const auto& hook : turn_hooks_) {
     hook();

@@ -313,15 +313,17 @@ bool Persist::BeginSaveLocked() {
   }
 
   save_.crc.Reset();
-  save_.record.clear();
-  save_.record.append(kSnapMagic, sizeof(kSnapMagic));
-  PutU32(save_.record, save_.gen);
-  PutU32(save_.record, save_.first_aof_seg);
-  PutU16(save_.record, n);
-  PutU16(save_.record, 0);
-  PutU64(save_.record, key_count);
-  save_.crc.Update(save_.record.data(), save_.record.size());
-  if (!WriteAll(save_.file.get(), save_.record)) {
+  save_.chunk.clear();
+  save_.chunk.append(kSnapMagic, sizeof(kSnapMagic));
+  PutU32(save_.chunk, save_.gen);
+  PutU32(save_.chunk, save_.first_aof_seg);
+  PutU16(save_.chunk, n);
+  PutU16(save_.chunk, 0);
+  PutU64(save_.chunk, key_count);
+  save_.crc.Update(save_.chunk.data(), save_.chunk.size());
+  const bool header_ok = WriteAll(save_.file.get(), save_.chunk);
+  save_.chunk.clear();
+  if (!header_ok) {
     ++stats_.io_errors;
     save_.file.reset();
     vfs_->Unlink(save_.path);
@@ -378,33 +380,57 @@ std::size_t Persist::AdvanceSaveLocked(std::size_t budget) {
     if (!have) {
       continue;
     }
-    save_.record.clear();
-    PutU16(save_.record, shard);
-    PutU32(save_.record, static_cast<std::uint32_t>(key.size()));
-    PutU32(save_.record, static_cast<std::uint32_t>(value.size()));
-    save_.record.append(key);
-    save_.record.append(value);
-    save_.crc.Update(save_.record.data(), save_.record.size());
-    if (!WriteAll(save_.file.get(), save_.record)) {
-      ++stats_.io_errors;
-      AbortSaveLocked();
-      break;
-    }
+    // Records collect in the chunk buffer and reach the file in one write per
+    // chunk: on BlockFs every write pays an indirect-block read, a partial
+    // block read-modify-write and an inode rewrite, whatever its size.
+    const std::size_t at = save_.chunk.size();
+    PutU16(save_.chunk, shard);
+    PutU32(save_.chunk, static_cast<std::uint32_t>(key.size()));
+    PutU32(save_.chunk, static_cast<std::uint32_t>(value.size()));
+    save_.chunk.append(key);
+    save_.chunk.append(value);
+    save_.crc.Update(save_.chunk.data() + at, save_.chunk.size() - at);
     if (dirty_it != save_.dirty[shard].end()) {
       save_.dirty[shard].erase(dirty_it);
     }
-    written += save_.record.size();
+    written += save_.chunk.size() - at;
     ++save_.keys_written;
+    // A full chunk goes out at once, which keeps an unbudgeted SaveNow's
+    // buffer bounded by snapshot_chunk_bytes plus one record.
+    if (save_.chunk.size() >= config_.snapshot_chunk_bytes &&
+        !FlushSaveChunkLocked()) {
+      break;
+    }
+  }
+  if (save_.active) {
+    FlushSaveChunkLocked();
   }
   return written;
 }
 
+bool Persist::FlushSaveChunkLocked() {
+  if (save_.chunk.empty()) {
+    return true;
+  }
+  const bool ok = WriteAll(save_.file.get(), save_.chunk);
+  save_.chunk.clear();
+  if (!ok) {
+    ++stats_.io_errors;
+    AbortSaveLocked();
+  }
+  return ok;
+}
+
 void Persist::FinishSaveLocked() {
   // Commit: the CRC trailer is what makes the file valid — a crash any time
-  // before this write leaves a rejectable file and recovery falls back.
-  save_.record.clear();
-  PutU32(save_.record, save_.crc.value());
-  bool ok = WriteAll(save_.file.get(), save_.record);
+  // before this write leaves a rejectable file and recovery falls back. It
+  // goes out after every record: the last chunk is flushed first.
+  if (!FlushSaveChunkLocked()) {
+    return;
+  }
+  PutU32(save_.chunk, save_.crc.value());
+  bool ok = WriteAll(save_.file.get(), save_.chunk);
+  save_.chunk.clear();
   if (ok) {
     ++stats_.fsyncs;
     ok = ukarch::Ok(save_.file->Fsync());  // snapshots are always barriered

@@ -193,7 +193,8 @@ class Persist {
     std::vector<std::vector<std::string>> keys;  // per shard, capture order
     std::vector<SvSet> pending;
     std::vector<SvMap<std::string>> dirty;
-    std::string record;  // reused record scratch
+    // Records not yet written (the turn's chunk); capacity is reused.
+    std::string chunk;
   };
 
   std::string AofPath(std::uint32_t seg, std::uint16_t shard) const;
@@ -204,9 +205,12 @@ class Persist {
   // needed). Caller holds |mu_|.
   void FlushShardLocked(std::uint16_t shard, std::size_t* turn_bytes);
   bool FsyncShardLocked(std::uint16_t shard);
-  // Emits up to |budget| snapshot bytes; finishes + commits when the cursor
-  // completes. Caller holds |mu_|. Returns bytes written.
+  // Emits up to |budget| snapshot bytes, written in chunks of
+  // snapshot_chunk_bytes; finishes + commits when the cursor completes.
+  // Caller holds |mu_|. Returns bytes written.
   std::size_t AdvanceSaveLocked(std::size_t budget);
+  // Writes the buffered records; an I/O error aborts the save (false).
+  bool FlushSaveChunkLocked();
   bool BeginSaveLocked();
   void FinishSaveLocked();
   void AbortSaveLocked();

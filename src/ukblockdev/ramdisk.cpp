@@ -8,7 +8,7 @@ RamDisk::RamDisk(ukplat::MemRegion* guest_mem, std::uint64_t sectors,
                  std::uint32_t sector_bytes)
     : guest_mem_(guest_mem),
       geom_{sectors, sector_bytes},
-      disk_(sectors * sector_bytes, 0) {}
+      disk_(sectors * sector_bytes) {}
 
 std::int32_t RamDisk::Execute(Request* req) {
   if (req->op == Request::Op::kFlush) {

@@ -5,7 +5,7 @@
 #define UKBLOCKDEV_RAMDISK_H_
 
 #include <deque>
-#include <vector>
+#include <span>
 
 #include "ukblockdev/blockdev.h"
 #include "ukplat/memregion.h"
@@ -23,7 +23,9 @@ class RamDisk final : public BlockDev {
   std::size_t ProcessCompletions(std::size_t max) override;
 
   // Test hook: direct access to backing bytes.
-  std::vector<std::uint8_t>& backing() { return disk_; }
+  std::span<std::uint8_t> backing() {
+    return {reinterpret_cast<std::uint8_t*>(disk_.data()), disk_.size()};
+  }
 
   // Flush requests completed. The ramdisk has no volatile write cache, so a
   // flush is a counted no-op — vfscore::File::Fsync still reaches it and the
@@ -35,7 +37,9 @@ class RamDisk final : public BlockDev {
 
   ukplat::MemRegion* guest_mem_;
   Geometry geom_;
-  std::vector<std::uint8_t> disk_;
+  // Backed on demand like guest RAM: sectors never written read as zero and
+  // occupy no host memory.
+  ukplat::AnonPages disk_;
   std::deque<Request*> completed_;
   std::uint64_t flushes_ = 0;
 };

@@ -18,10 +18,16 @@ NetIf::NetIf(NetStack* stack, uknetdev::NetDev* dev, ukplat::MemRegion* mem,
     : stack_(stack), dev_(dev), mem_(mem), alloc_(alloc), config_(config) {}
 
 NetIf::~NetIf() {
-  // Netbufs parked behind unresolved ARP still belong to their TX pools.
+  // Netbufs parked behind unresolved ARP or in an unclosed TX batch still
+  // belong to their TX pools.
   for (auto& [hop, pending] : arp_pending_) {
     for (PendingTx& p : pending) {
       FreeTxBuf(p.nb);
+    }
+  }
+  for (TxBatchState& b : tx_batches_) {
+    for (std::uint16_t i = 0; i < b.parked; ++i) {
+      FreeTxBuf(b.frames[i]);
     }
   }
 }
@@ -40,6 +46,12 @@ ukarch::Status NetIf::Init() {
       std::max(config_.rx_pool_bufs / nb_queues_, kMinPoolBufsPerQueue);
   tx_pools_.clear();
   rx_pools_.clear();
+  // One pending array per TX queue, allocated here so batching never
+  // allocates on the data path. A full ring's worth fits one TxBurst.
+  tx_batches_ = std::vector<TxBatchState>(nb_queues_);
+  for (TxBatchState& b : tx_batches_) {
+    b.frames.resize(std::max<std::uint16_t>(info.tx_queue_depth, 1));
+  }
   for (std::uint16_t q = 0; q < nb_queues_; ++q) {
     tx_pools_.push_back(
         uknetdev::NetBufPool::Create(alloc_, mem_, tx_per_q, config_.buf_size));
@@ -120,7 +132,13 @@ uknetdev::NetBuf* NetIf::AllocTxBuf(std::uint32_t l4_header_bytes, std::uint16_t
   if (queue >= tx_pools_.size()) {
     return nullptr;
   }
-  return tx_pools_[queue]->AllocWithHeadroom(reserve);
+  uknetdev::NetBufPool& pool = *tx_pools_[queue];
+  if (pool.available() == 0 && tx_batches_[queue].parked > 0) {
+    // Frames parked in the open batch are holding pool buffers the driver
+    // would already have returned: flush early instead of failing the caller.
+    FlushTx(queue);
+  }
+  return pool.AllocWithHeadroom(reserve);
 }
 
 void NetIf::FreeTxBuf(uknetdev::NetBuf* nb) {
@@ -138,20 +156,18 @@ bool NetIf::SendEthBuf(uknetdev::MacAddr dst, std::uint16_t ethertype,
   }
   EthHeader eth{dst, dev_->mac(), ethertype};
   eth.Serialize(hdr);
-  uknetdev::NetBuf* pkts[1] = {nb};
-  std::uint16_t cnt = 1;
-  dev_->TxBurst(queue, pkts, &cnt);
-  if (cnt != 1) {
-    FreeTxBuf(nb);
-    return false;
+  if (Batching(queue)) {
+    ParkTx(queue, nb);
+    return true;
   }
-  return true;
+  return Burst(queue, &nb, 1) == 1;
 }
 
 std::uint16_t NetIf::SendEthBatch(uknetdev::MacAddr dst, std::uint16_t ethertype,
                                   uknetdev::NetBuf** pkts, std::uint16_t cnt,
                                   std::uint16_t queue) {
   EthHeader eth{dst, dev_->mac(), ethertype};
+  const bool batching = Batching(queue);
   std::uint16_t ready = 0;
   for (std::uint16_t i = 0; i < cnt; ++i) {
     std::uint8_t* hdr = pkts[i]->PrependHeader(*mem_, kEthHdrBytes);
@@ -160,16 +176,55 @@ std::uint16_t NetIf::SendEthBatch(uknetdev::MacAddr dst, std::uint16_t ethertype
       continue;
     }
     eth.Serialize(hdr);
-    pkts[ready++] = pkts[i];
-  }
-  std::uint16_t sent = ready;
-  if (ready > 0) {
-    dev_->TxBurst(queue, pkts, &sent);
-    for (std::uint16_t i = sent; i < ready; ++i) {
-      FreeTxBuf(pkts[i]);
+    if (batching) {
+      ParkTx(queue, pkts[i]);
+    } else {
+      pkts[ready] = pkts[i];
     }
+    ++ready;
+  }
+  return batching || ready == 0 ? ready : Burst(queue, pkts, ready);
+}
+
+std::uint16_t NetIf::Burst(std::uint16_t queue, uknetdev::NetBuf** pkts,
+                           std::uint16_t cnt) {
+  std::uint16_t sent = cnt;
+  dev_->TxBurst(queue, pkts, &sent);
+  for (std::uint16_t i = sent; i < cnt; ++i) {
+    FreeTxBuf(pkts[i]);
   }
   return sent;
+}
+
+void NetIf::ParkTx(std::uint16_t queue, uknetdev::NetBuf* nb) {
+  TxBatchState& b = tx_batches_[queue];
+  if (b.parked == b.frames.size()) {
+    FlushTx(queue);  // a full ring's worth goes out; the batch stays open
+  }
+  b.frames[b.parked++] = nb;
+}
+
+void NetIf::BeginTxBatch(std::uint16_t queue) {
+  if (queue < tx_batches_.size()) {
+    ++tx_batches_[queue].depth;
+  }
+}
+
+void NetIf::EndTxBatch(std::uint16_t queue) {
+  if (queue < tx_batches_.size() && tx_batches_[queue].depth > 0 &&
+      --tx_batches_[queue].depth == 0) {
+    FlushTx(queue);
+  }
+}
+
+std::uint16_t NetIf::FlushTx(std::uint16_t queue) {
+  if (queue >= tx_batches_.size() || tx_batches_[queue].parked == 0) {
+    return 0;
+  }
+  TxBatchState& b = tx_batches_[queue];
+  const std::uint16_t parked = b.parked;
+  b.parked = 0;
+  return Burst(queue, b.frames.data(), parked);
 }
 
 bool NetIf::SendIpBuf(Ip4Addr dst, std::uint8_t proto, uknetdev::NetBuf* nb,

@@ -161,7 +161,7 @@ std::int64_t UdpSocket::SendToBatch(Ip4Addr dst, std::uint16_t dst_port,
   std::size_t i = 0;
   while (i < msgs.size()) {
     // Build up to one chunk of UDP datagrams (payload written once, headers
-    // prepended in place), then burst the chunk in a single TxBurst.
+    // prepended in place), then hand the chunk down in one SendIpBatch.
     std::uint16_t built = 0;
     while (built < kChunk && i < msgs.size()) {
       const DatagramVec& msg = msgs[i];
@@ -386,12 +386,30 @@ bool NetStack::Ping(Ip4Addr dst, std::uint16_t seq) {
 }
 
 void NetStack::Poll() {
-  for (auto& netif : netifs_) {
-    netif->Poll();
+  {
+    TxBatch batch(this);
+    for (auto& netif : netifs_) {
+      netif->Poll();
+    }
+    RunTcpTimers();
   }
-  RunTcpTimers();
   // Turn boundary: this caller holds no registry snapshot anymore.
   rcu_.Quiescent(kAllQueuesSlot);
+}
+
+void NetStack::BeginTxBatch(std::uint16_t queue) {
+  ForEachTxQueue(queue, [](NetIf& netif, std::uint16_t q) { netif.BeginTxBatch(q); });
+}
+
+void NetStack::EndTxBatch(std::uint16_t queue) {
+  ForEachTxQueue(queue, [](NetIf& netif, std::uint16_t q) { netif.EndTxBatch(q); });
+}
+
+std::size_t NetStack::FlushTx() {
+  std::size_t flushed = 0;
+  ForEachTxQueue(kAllQueues,
+                 [&](NetIf& netif, std::uint16_t q) { flushed += netif.FlushTx(q); });
+  return flushed;
 }
 
 void NetStack::RunTcpTimers() {
@@ -534,6 +552,7 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
   const std::size_t rcu_slot = all ? kAllQueuesSlot : QueueSlot(queue);
   auto drain = [&]() -> std::size_t {
     ws.poll_iterations.fetch_add(1, std::memory_order_relaxed);
+    TxBatch batch(this, queue);
     std::size_t n = 0;
     for (auto& netif : netifs_) {
       n += all ? netif->Poll() : netif->Poll(queue);
@@ -600,6 +619,12 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
     handled = drain();
     if (handled > 0) {
       break;
+    }
+    // Never park on parked frames: what an enclosing batch (or this drain,
+    // nested in one) holds goes out now. Its answer may already be on the
+    // way, so run the arm-then-check pass again instead of parking.
+    if (FlushTx() > 0) {
+      continue;
     }
     const std::uint64_t deadline = std::min(caller_deadline, NextTimerDeadline());
     ws.blocked_waits.fetch_add(1, std::memory_order_relaxed);

@@ -172,19 +172,21 @@ class NetIf {
   // queue), on failure it is freed.
   bool SendIpBuf(Ip4Addr dst, std::uint8_t proto, uknetdev::NetBuf* nb,
                  std::uint16_t queue = 0);
-  // Zero-copy Ethernet send: prepends the Ethernet header in place and
-  // bursts the buffer to the device on |queue|. Takes ownership of |nb|.
+  // Zero-copy Ethernet send: prepends the Ethernet header in place and hands
+  // the frame to |queue| — parked in the queue's open TX batch, or burst to
+  // the device at once when no batch is open. Takes ownership of |nb|.
   bool SendEthBuf(uknetdev::MacAddr dst, std::uint16_t ethertype,
                   uknetdev::NetBuf* nb, std::uint16_t queue = 0);
   // Batch TX: prepends Ethernet headers for all |cnt| buffers to the same
-  // next hop and enqueues them in a single TxBurst on |queue|. Returns
-  // packets queued; unsent buffers are freed. Takes ownership of the array.
+  // next hop and hands them to |queue| the same way (one TxBurst for the lot
+  // outside a batch). Returns packets accepted; unsent buffers are freed.
+  // Takes ownership of the array.
   std::uint16_t SendEthBatch(uknetdev::MacAddr dst, std::uint16_t ethertype,
                              uknetdev::NetBuf** pkts, std::uint16_t cnt,
                              std::uint16_t queue = 0);
   // Batch IPv4 send to ONE destination: prepends each buffer's IP header in
-  // place, resolves the next hop once, and hands the whole batch to a single
-  // TxBurst (the UDP reply-flood path: N replies, one device doorbell).
+  // place, resolves the next hop once, and hands the whole batch down in one
+  // SendEthBatch (the UDP reply-flood path: N replies, one device doorbell).
   // Takes ownership of all |cnt| buffers. Returns packets accepted (sent or,
   // on an unresolved next hop, parked behind the ARP request); the rest are
   // freed.
@@ -196,6 +198,11 @@ class NetIf {
   // as a contiguous span (ICMP echo bodies, tests).
   bool SendIp(Ip4Addr dst, std::uint8_t proto, std::span<const std::uint8_t> payload,
               std::uint16_t queue = 0);
+
+  // Frames parked in |queue|'s open TX batch (see NetStack::TxBatch).
+  std::uint16_t tx_parked(std::uint16_t queue) const {
+    return queue < tx_batches_.size() ? tx_batches_[queue].parked : 0;
+  }
 
   void AddArpEntry(Ip4Addr ip, uknetdev::MacAddr mac) { arp_cache_[ip] = mac; }
   bool RouteMatches(Ip4Addr dst) const {
@@ -242,6 +249,28 @@ class NetIf {
   bool HandleIp(std::uint16_t queue, uknetdev::NetBuf* nb,
                 std::span<const std::uint8_t> body);
   void SendArpRequest(Ip4Addr target, std::uint16_t queue);
+
+  // ---- TX batching: one doorbell per batch -------------------------------
+  // While a batch is open on |queue|, finished frames (Ethernet header
+  // built) park in the queue's pending array, preallocated at Init and sized
+  // to the TX ring, instead of going to the device one TxBurst each; closing
+  // the outermost batch emits them in one TxBurst, so the driver pays one
+  // notification for the lot. Batches nest. The array flushes early when it
+  // is full, or when the queue's TX pool runs dry (AllocTxBuf). Like the
+  // queue's rings and pools, its batch belongs to the loop that owns the
+  // queue; loops open one through NetStack::TxBatch.
+  bool Batching(std::uint16_t queue) const {
+    return queue < tx_batches_.size() && tx_batches_[queue].depth > 0;
+  }
+  void BeginTxBatch(std::uint16_t queue);
+  void EndTxBatch(std::uint16_t queue);
+  void ParkTx(std::uint16_t queue, uknetdev::NetBuf* nb);
+  // Bursts |queue|'s parked frames now (an open batch stays open). Returns
+  // the number of frames the device took.
+  std::uint16_t FlushTx(std::uint16_t queue);
+  // One TxBurst of |cnt| frames; frees those the device refuses. Returns the
+  // number it took.
+  std::uint16_t Burst(std::uint16_t queue, uknetdev::NetBuf** pkts, std::uint16_t cnt);
   // RX interrupt handler (installed as the device's RxQueueConf::intr_handler
   // at Init): counts the fire and wakes the stack's waiters for |queue|.
   void OnRxInterrupt(std::uint16_t queue);
@@ -268,6 +297,16 @@ class NetIf {
     std::uint16_t queue = 0;
   };
   std::map<Ip4Addr, std::vector<PendingTx>> arp_pending_;
+  // Per-queue TX batch. A parked frame holds the one reference the driver
+  // would have taken; a parked retained TCP segment keeps refcnt > 1 until
+  // the flush, exactly as an ARP-parked one does. Padded so neighbouring
+  // queues' loops never write-share a line.
+  struct alignas(64) TxBatchState {
+    std::vector<uknetdev::NetBuf*> frames;  // sized to the TX ring at Init
+    std::uint16_t parked = 0;
+    std::uint16_t depth = 0;  // open batches; frames park while > 0
+  };
+  std::vector<TxBatchState> tx_batches_;
   // Live counters. Relaxed atomics: each is bumped on exactly one loop's hot
   // path but read (and summed into an IfStats snapshot) from any loop.
   struct IfCounters {
@@ -323,7 +362,8 @@ class UdpSocket : public SocketEventSource {
                       std::span<const std::uint8_t> payload);
 
   // Batched send to one destination: builds one netbuf per payload and hands
-  // the lot to NetIf::SendIpBatch — one TxBurst for the whole reply flood.
+  // the lot to NetIf::SendIpBatch — one TxBurst for the whole reply flood
+  // (or, inside an open TX batch, a share of the batch's one TxBurst).
   // Returns datagrams accepted (stops early when the TX pool runs dry).
   struct DatagramVec {
     const std::uint8_t* data = nullptr;
@@ -377,8 +417,9 @@ const char* TcpStateName(TcpState s);
 // a recorded headroom. The retransmission queue owns one reference to |nb|
 // for the segment's whole lifetime (until cumulatively ACKed); every
 // (re)transmission restores the payload view, prepends fresh TCP/IP/Ethernet
-// headers into the same headroom, takes an extra reference, and bursts the
-// buffer — the payload bytes are written exactly once, in Send().
+// headers into the same headroom, takes an extra reference, and hands the
+// buffer down (its own TxBurst, or a slot in the queue's open TX batch) —
+// the payload bytes are written exactly once, in Send().
 struct TcpTxSegment {
   std::uint32_t seq = 0;               // first sequence number of the payload
   std::uint32_t len = 0;               // payload bytes
@@ -727,7 +768,9 @@ class NetStack {
     return pings_answered_.load(std::memory_order_relaxed);
   }
 
-  // One pump: interface RX, TCP timers. Call in the application loop.
+  // One pump: interface RX, TCP timers. Call in the application loop. What
+  // the pump sends (ACKs, replies, retransmissions) leaves in one TxBurst per
+  // queue at its end.
   void Poll();
   // Test helper: polls until |pred| or |max_iters| rounds.
   bool PollUntil(const std::function<bool()>& pred, int max_iters = 10000);
@@ -761,6 +804,35 @@ class NetStack {
   // Earliest absolute cycle at which a TCP timer needs service, or
   // kNoDeadline when no connection is waiting on time.
   std::uint64_t NextTimerDeadline() const;
+
+  // ---- TX batching ----------------------------------------------------------
+  // A scoped TX batch on |queue| (kAllQueues: every queue) of every
+  // interface: frames sent while it is open leave in one TxBurst per queue
+  // when the outermost batch closes (NetIf's TX batching). Poll and PollWait
+  // batch their drains, apps::EventLoop its dispatch. A batch must close
+  // before its loop yields; the one sleep allowed inside it is PollWait's,
+  // which flushes every parked frame before it parks. A null stack makes the
+  // batch a no-op.
+  class TxBatch {
+   public:
+    explicit TxBatch(NetStack* stack, std::uint16_t queue = kAllQueues)
+        : stack_(stack), queue_(queue) {
+      if (stack_ != nullptr) {
+        stack_->BeginTxBatch(queue_);
+      }
+    }
+    ~TxBatch() {
+      if (stack_ != nullptr) {
+        stack_->EndTxBatch(queue_);
+      }
+    }
+    TxBatch(const TxBatch&) = delete;
+    TxBatch& operator=(const TxBatch&) = delete;
+
+   private:
+    NetStack* stack_;
+    std::uint16_t queue_;
+  };
 
   // ---- readiness-event fan-in ---------------------------------------------
   // Called by every socket RaiseEvent once a registered sink consumed the
@@ -890,7 +962,7 @@ class NetStack {
   void SendRst(NetIf* netif, const Ip4Header& ip, const TcpHeader& hdr,
                std::size_t payload_len, std::uint16_t queue);
   // Shared header-only TCP segment builder (SYN, SYN|ACK, RST, ACK...):
-  // serialized in place in a TX netbuf, bursts on |queue|.
+  // serialized in place in a TX netbuf, sent on |queue|.
   bool SendTcpHeaderOnly(NetIf* netif, Ip4Addr dst, const TcpHeader& hdr,
                          std::uint16_t queue = 0);
   std::uint16_t AllocEphemeralPort();
@@ -901,6 +973,23 @@ class NetStack {
   // TCP timer pass (RTO checks + TIME_WAIT reaping), shared by Poll and the
   // PollWait drain.
   void RunTcpTimers();
+  void BeginTxBatch(std::uint16_t queue);
+  void EndTxBatch(std::uint16_t queue);
+  // Bursts every frame parked on any queue of any interface (open batches
+  // stay open). Returns the number of frames the devices took.
+  std::size_t FlushTx();
+  // Calls |fn(netif, q)| for TX queue |queue| (kAllQueues: every queue) of
+  // every interface.
+  template <typename Fn>
+  void ForEachTxQueue(std::uint16_t queue, Fn&& fn) {
+    for (auto& netif : netifs_) {
+      const bool all = queue == kAllQueues;
+      const std::uint16_t end = all ? netif->queue_count() : queue + 1;
+      for (std::uint16_t q = all ? 0 : queue; q < end; ++q) {
+        fn(*netif, q);
+      }
+    }
+  }
   // Wakes PollWait sleepers for |queue| (and any-queue waiters). Called from
   // NetIf's RX interrupt handler — wakeup-grade work only.
   void WakeRxWaiters(std::uint16_t queue);

@@ -145,9 +145,9 @@ std::int64_t TcpSocket::Send(std::span<const std::uint8_t> data) {
     // yet (a sent segment's end is a wire-frame boundary; growing it would
     // strand snd_una_ mid-segment on the ACK and push later retransmissions
     // off the retained-buffer path — legacy has no such contract and keeps
-    // the seed behavior). Also skip a buffer parked behind ARP resolution —
-    // those bytes are spoken for until the pending send releases its
-    // reference.
+    // the seed behavior). Also skip a buffer parked behind ARP resolution or
+    // in an open TX batch — those bytes are spoken for until the pending send
+    // releases its reference.
     if (!retx_queue_.empty() && retx_queue_.back().len < kMss &&
         (!stack_->tcp_modern || !SeqLt(retx_queue_.back().seq, snd_nxt_)) &&
         retx_queue_.back().nb->refcnt == 1) {
@@ -351,9 +351,10 @@ void TcpSocket::EmitRetained(TcpTxSegment& seg, std::uint32_t from, std::uint32_
     return;
   }
   if (nb->refcnt > 1) {
-    // A previous transmission of this buffer is still parked behind ARP
-    // resolution; its bytes (headers included) are spoken for. Skip — the
-    // flush or the retransmission timer covers these sequence numbers.
+    // A previous transmission of this buffer is still parked, behind ARP
+    // resolution or in the queue's open TX batch; its bytes (headers
+    // included) are spoken for. Skip — the flush or the retransmission timer
+    // covers these sequence numbers.
     return;
   }
   // Segment-aligned send: restore the payload view (transmissions prepend

@@ -5,26 +5,53 @@
 // rings in it, and devices address buffers by guest-physical address (gpa =
 // offset into the region). Bounds are checked on every translation so driver
 // bugs surface as errors instead of host memory corruption.
+//
+// Pages are backed on demand, the way a VMM backs guest RAM: the region is
+// an anonymous mapping whose pages fault in zero-filled on first touch, so a
+// region costs the host only what the guest has written, and a reset drops
+// the pages instead of rewriting every byte.
 #ifndef UKPLAT_MEMREGION_H_
 #define UKPLAT_MEMREGION_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 
 namespace ukplat {
 
+// Anonymous demand-zero host memory: every byte reads zero until written,
+// and only touched pages occupy host RAM. Backs MemRegion and RamDisk.
+class AnonPages {
+ public:
+  // Maps |bytes| (throws std::bad_alloc when the host refuses the mapping).
+  explicit AnonPages(std::size_t bytes);
+  ~AnonPages();
+
+  AnonPages(const AnonPages&) = delete;
+  AnonPages& operator=(const AnonPages&) = delete;
+
+  std::byte* data() const { return base_; }
+  std::size_t size() const { return size_; }
+
+  // Returns every byte to zero by dropping the pages (MADV_DONTNEED): the
+  // next touch faults in a fresh zero page.
+  void Discard();
+
+ private:
+  std::byte* base_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 class MemRegion {
  public:
-  // Creates a zero-initialized region of |bytes| guest RAM.
+  // Creates a zero-initialized region of |bytes| guest RAM, backed on demand.
   explicit MemRegion(std::size_t bytes);
 
   MemRegion(const MemRegion&) = delete;
   MemRegion& operator=(const MemRegion&) = delete;
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return mem_.size(); }
 
   // Translates |gpa| into a host pointer valid for |len| bytes, or nullptr if
   // the access would escape the region.
@@ -69,10 +96,10 @@ class MemRegion {
   // from a heap that lives in guest RAM be handed to devices by address.
   std::uint64_t GpaOf(const void* p) const {
     auto* b = static_cast<const std::byte*>(p);
-    if (b < mem_.get() || b >= mem_.get() + size_) {
+    if (b < mem_.data() || b >= mem_.data() + mem_.size()) {
       return kBadGpa;
     }
-    return static_cast<std::uint64_t>(b - mem_.get());
+    return static_cast<std::uint64_t>(b - mem_.data());
   }
 
   // Simple bump carve-out used during early boot to place rings and heaps.
@@ -81,20 +108,20 @@ class MemRegion {
   std::uint64_t Carve(std::size_t bytes, std::size_t align);
   std::uint64_t carve_brk() const { return carve_brk_; }
 
-  // Returns the region to its power-on state: every byte zeroed and the boot
-  // carve pointer rewound. Instance reboot uses this so the same guest RAM
-  // can host a fresh boot sequence; callers must have dropped every pointer
-  // into the region first (heaps, rings, page tables).
+  // Returns the region to its power-on state: every byte zeroed (the pages
+  // are dropped, not rewritten) and the boot carve pointer rewound. Instance
+  // reboot uses this so the same guest RAM can host a fresh boot sequence;
+  // callers must have dropped every pointer into the region first (heaps,
+  // rings, page tables).
   void Reset() {
-    std::memset(mem_.get(), 0, size_);
+    mem_.Discard();
     carve_brk_ = 0;
   }
 
   static constexpr std::uint64_t kBadGpa = UINT64_MAX;
 
  private:
-  std::unique_ptr<std::byte[]> mem_;
-  std::size_t size_;
+  AnonPages mem_;
   std::uint64_t carve_brk_ = 0;
   mutable std::uint64_t fault_count_ = 0;
 };

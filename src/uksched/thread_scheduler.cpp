@@ -72,13 +72,18 @@ void ThreadScheduler::SwitchTo(Thread* t) {
 
 void ThreadScheduler::SwitchBack() {
   // Called from a running thread with the lock held: return the baton and —
-  // unless this thread is exiting — sleep until dispatched again.
+  // unless this thread is exiting — sleep until dispatched again. Everything
+  // the wait needs is copied out of |this| first: a thread still blocked when
+  // the scheduler dies is detached and keeps waiting here, and every wake-up
+  // re-evaluates the predicate, so it may only reach the baton it co-owns.
   Thread* t = current_;
-  std::unique_lock<std::mutex> lk(baton_->mu, std::adopt_lock);
-  baton_->running = nullptr;
-  baton_->cv.notify_all();
-  if (t->state_ != ThreadState::kExited) {
-    baton_->cv.wait(lk, [&] { return baton_->running == t; });
+  const bool exiting = t->state_ == ThreadState::kExited;
+  std::shared_ptr<Baton> baton = baton_;
+  std::unique_lock<std::mutex> lk(baton->mu, std::adopt_lock);
+  baton->running = nullptr;
+  baton->cv.notify_all();
+  if (!exiting) {
+    baton->cv.wait(lk, [&] { return baton->running == t; });
   }
   lk.release();
 }

@@ -42,16 +42,18 @@ inline void PutU16(std::uint8_t* p, std::uint16_t v) {
 
 // A simulated host: guest RAM, allocator, virtio-net on one wire side, stack.
 // |queues| configures that many RSS queue pairs end to end (driver rings,
-// NetIf pools, demux sharding).
+// NetIf pools, demux sharding). vhost-user by default; vhost-net counts a
+// kick per TxBurst (VirtioNet::kicks), which the TX batching tests read.
 struct Host {
   Host(ukplat::Clock* clock, ukplat::Wire* wire, int side, Ip4Addr ip,
-       std::uint16_t queues = 1, std::uint32_t pool_bufs = 256)
+       std::uint16_t queues = 1, std::uint32_t pool_bufs = 256,
+       uknetdev::VirtioBackend backend = uknetdev::VirtioBackend::kVhostUser)
       : mem(32 << 20) {
     std::uint64_t heap_gpa = mem.Carve(24 << 20, 4096);
     alloc = ukalloc::CreateAllocator(ukalloc::Backend::kTlsf, mem.At(heap_gpa, 24 << 20),
                                      24 << 20);
     uknetdev::VirtioNet::Config cfg;
-    cfg.backend = uknetdev::VirtioBackend::kVhostUser;
+    cfg.backend = backend;
     cfg.wire_side = side;
     cfg.mac = uknetdev::MacAddr{{2, 0, 0, 0, 0, static_cast<std::uint8_t>(side + 1)}};
     cfg.queue_size = 128;

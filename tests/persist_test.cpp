@@ -6,6 +6,7 @@
 // testbed boots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -313,6 +314,51 @@ TEST_F(PersistTest, BackgroundSaveBoundsBytesPerTurn) {
   EXPECT_TRUE(rs.snapshot_loaded);
   EXPECT_EQ(rs.snapshot_keys, 300u);
   EXPECT_EQ(recovered, store);
+}
+
+TEST_F(PersistTest, SnapshotWrittenPerChunkMatchesOnePerRecord) {
+  // Records reach the file a chunk at a time. A 1-byte chunk flushes after
+  // every record, which is the per-record writer; both saves must leave the
+  // same file, byte for byte, CRC trailer included. Each save starts from a
+  // freshly formatted disk so both are generation 1 over AOF segment 1.
+  KvMap store;
+  for (int i = 0; i < 300; ++i) {
+    char key[8];
+    std::snprintf(key, sizeof key, "k%03d", i);
+    store[key] = std::string(static_cast<std::size_t>(1 + (i * 37) % 700),
+                             static_cast<char>('a' + i % 26));
+  }
+  auto save = [&](std::size_t chunk_bytes, bool background) {
+    std::fill(disk_.backing().begin(), disk_.backing().end(), 0);
+    Remount();
+    Persist::Config cfg;
+    cfg.snapshot_chunk_bytes = chunk_bytes;
+    auto p = MakePersist(cfg, &store);
+    KvMap empty;
+    p->Recover(MapApplier(&empty));
+    if (background) {
+      EXPECT_TRUE(p->StartBackgroundSave());
+      for (int turns = 0; p->save_active() && turns < 100'000; ++turns) {
+        p->OnTurnEnd();
+      }
+    } else {
+      EXPECT_TRUE(p->SaveNow());
+    }
+    EXPECT_EQ(p->stats().snapshots_completed, 1u);
+    std::shared_ptr<vfscore::File> f;
+    EXPECT_TRUE(ukarch::Ok(vfs_.Open("/persist/dump-1.rdb", vfscore::kRead, &f)));
+    std::string bytes(1 << 20, '\0');
+    const std::int64_t n = f != nullptr
+        ? f->ReadAt(0, std::as_writable_bytes(std::span(bytes)))
+        : -1;
+    bytes.resize(n > 0 ? static_cast<std::size_t>(n) : 0);
+    return bytes;
+  };
+  const std::string per_record = save(1, /*background=*/false);
+  ASSERT_GT(per_record.size(), 300u * 10);
+  EXPECT_EQ(save(4096, /*background=*/false), per_record);
+  EXPECT_EQ(save(4096, /*background=*/true), per_record);
+  EXPECT_EQ(save(1, /*background=*/true), per_record);
 }
 
 TEST_F(PersistTest, CowPreimageKeepsTheSnapshotPointInTime) {

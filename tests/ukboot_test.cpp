@@ -2,6 +2,8 @@
 // sequencing, inittab ordering, minimum-memory failure modes (Fig 11).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ukboot/instance.h"
 #include "ukboot/pagetable.h"
 
@@ -226,6 +228,11 @@ TEST(InstanceReboot, ShutdownReturnsToPreBootState) {
   EXPECT_EQ(vm.scheduler(), nullptr);
   EXPECT_EQ(vm.pagetable(), nullptr);
   EXPECT_EQ(vm.mem().carve_brk(), 0u);  // guest RAM back at power-on
+  const std::size_t bytes = vm.mem().size();
+  const std::byte* ram = vm.mem().At(0, bytes);
+  ASSERT_NE(ram, nullptr);
+  EXPECT_TRUE(std::all_of(ram, ram + bytes, [](std::byte b) { return b == std::byte{0}; }))
+      << "a reset left guest RAM dirty";
 }
 
 TEST(InstanceReboot, RebootReplaysInittabWithFreshTimings) {

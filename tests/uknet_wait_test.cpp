@@ -8,6 +8,7 @@
 // path preserves the ZeroAllocGuard steady-state invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -496,6 +497,218 @@ TEST(PosixBlocking, AcceptSleepsUntilConnection) {
   EXPECT_EQ(sched.Run(), 0u);
   EXPECT_GE(cfd, 3);
   EXPECT_GE(b.stack->wait_stats().frame_wakeups, 1u);
+}
+
+// ---- TX batching: never park on parked frames ---------------------------------------
+
+// A PollWait inside an open TX batch flushes what the batch parked before it
+// sleeps: the datagram reaches the peer while the sender is blocked, and the
+// peer's answer is what wakes it.
+TEST(TxBatch, ParkingPollWaitFlushesTheEnclosingBatchFirst) {
+  ukplat::Clock clock;
+  ukplat::Wire wire(&clock);
+  Host a(&clock, &wire, 0, MakeIp(10, 0, 0, 1));
+  Host b(&clock, &wire, 1, MakeIp(10, 0, 0, 2));
+  a.netif->AddArpEntry(MakeIp(10, 0, 0, 2), b.nic->mac());
+  b.netif->AddArpEntry(MakeIp(10, 0, 0, 1), a.nic->mac());
+  auto sched_owner = uksched::MakeScheduler(b.alloc.get(), &clock);
+  auto& sched = *sched_owner;
+  b.stack->SetScheduler(&sched);
+
+  auto asker = b.stack->UdpOpen();
+  auto answerer = a.stack->UdpOpen();
+  ASSERT_TRUE(Ok(answerer->Bind(7)));
+
+  std::size_t handled = 0;
+  bool done = false;
+  sched.CreateThread("asker", [&] {
+    NetStack::TxBatch batch(b.stack.get());
+    std::uint8_t q[2] = {'q', '?'};
+    ASSERT_EQ(asker->SendTo(MakeIp(10, 0, 0, 1), 7, q), 2);
+    EXPECT_EQ(b.netif->tx_parked(0), 1u) << "an open batch must park the frame";
+    EXPECT_EQ(b.nic->stats().tx_packets, 0u);
+    handled = b.stack->PollWait(NetStack::kAllQueues, 10'000'000'000ull);
+    done = true;
+  });
+  sched.CreateThread("answerer", [&] {
+    // The asker is parked, and its question went out before it parked.
+    EXPECT_FALSE(done);
+    EXPECT_EQ(b.stack->wait_stats().blocked_waits, 1u);
+    EXPECT_EQ(b.netif->tx_parked(0), 0u);
+    EXPECT_EQ(b.nic->stats().tx_packets, 1u);
+    a.stack->Poll();
+    std::uint8_t buf[8];
+    Ip4Addr src_ip = 0;
+    std::uint16_t src_port = 0;
+    ASSERT_EQ(answerer->RecvInto(buf, &src_ip, &src_port), 2);
+    std::uint8_t reply[1] = {'!'};
+    ASSERT_EQ(answerer->SendTo(src_ip, src_port, reply), 1);
+    sched.Yield();
+    EXPECT_TRUE(done);
+  });
+  EXPECT_EQ(sched.Run(), 0u);
+  EXPECT_GE(handled, 1u);
+  EXPECT_EQ(b.stack->wait_stats().frame_wakeups, 1u);
+  std::uint8_t buf[8];
+  EXPECT_EQ(asker->RecvInto(buf), 1);
+}
+
+// What a PollWait drain sends leaves in one TxBurst: a burst of pings that
+// wakes a blocked host is answered with one vhost-net kick, not one per echo.
+TEST(TxBatch, PollWaitDrainAnswersABurstInOneTxBurst) {
+  ukplat::Clock clock;
+  ukplat::Wire wire(&clock);
+  Host a(&clock, &wire, 0, MakeIp(10, 0, 0, 1));
+  Host b(&clock, &wire, 1, MakeIp(10, 0, 0, 2), 1, 256,
+         uknetdev::VirtioBackend::kVhostNet);
+  a.netif->AddArpEntry(MakeIp(10, 0, 0, 2), b.nic->mac());
+  b.netif->AddArpEntry(MakeIp(10, 0, 0, 1), a.nic->mac());
+  auto sched_owner = uksched::MakeScheduler(b.alloc.get(), &clock);
+  auto& sched = *sched_owner;
+  b.stack->SetScheduler(&sched);
+
+  constexpr std::uint16_t kPings = 12;
+  std::size_t handled = 0;
+  sched.CreateThread("responder", [&] {
+    handled = b.stack->PollWait(NetStack::kAllQueues, 10'000'000'000ull);
+  });
+  sched.CreateThread("pinger", [&] {
+    EXPECT_EQ(b.stack->wait_stats().blocked_waits, 1u);
+    for (std::uint16_t i = 0; i < kPings; ++i) {
+      ASSERT_TRUE(a.stack->Ping(MakeIp(10, 0, 0, 2), i));
+    }
+  });
+  EXPECT_EQ(sched.Run(), 0u);
+  EXPECT_EQ(handled, kPings);
+  EXPECT_EQ(b.nic->kicks(), 1u);
+  EXPECT_EQ(b.nic->stats().tx_packets, kPings);
+  a.stack->Poll();
+  EXPECT_EQ(a.stack->pings_answered(), kPings);
+}
+
+// The UDP echo of BlockingUdpEchoHoldsZeroAllocInvariants with every round's
+// replies sent inside one batch: they leave in one TxBurst (one vhost-net
+// kick), and parking them costs no pool buffer and no heap.
+TEST(TxBatch, BatchedUdpEchoHoldsZeroAllocInvariants) {
+  ukplat::Clock clock;
+  ukplat::Wire wire(&clock);
+  Host a(&clock, &wire, 0, MakeIp(10, 0, 0, 1));
+  Host b(&clock, &wire, 1, MakeIp(10, 0, 0, 2), 1, 256,
+         uknetdev::VirtioBackend::kVhostNet);
+  a.netif->AddArpEntry(MakeIp(10, 0, 0, 2), b.nic->mac());
+  b.netif->AddArpEntry(MakeIp(10, 0, 0, 1), a.nic->mac());
+  auto sched_owner = uksched::MakeScheduler(b.alloc.get(), &clock);
+  auto& sched = *sched_owner;
+  b.stack->SetScheduler(&sched);
+
+  auto server = b.stack->UdpOpen();
+  ASSERT_TRUE(Ok(server->Bind(9000)));
+  auto client = a.stack->UdpOpen();
+
+  constexpr std::size_t kBurst = 16;
+  constexpr std::uint64_t kSlice = 1'000'000;
+  bool stop = false;
+  std::size_t max_parked = 0;
+  ZeroAllocGuard guard({b.netif->tx_pool(0), b.netif->rx_pool(0)}, b.alloc.get());
+
+  sched.CreateThread("echo-server", [&] {
+    std::uint8_t buf[64];
+    Ip4Addr src_ip = 0;
+    std::uint16_t src_port = 0;
+    while (!stop) {
+      b.stack->PollWait(NetStack::kAllQueues, kSlice);
+      NetStack::TxBatch batch(b.stack.get());
+      std::int64_t n;
+      while ((n = server->RecvInto(buf, &src_ip, &src_port)) > 0) {
+        ASSERT_EQ(server->SendTo(src_ip, src_port, std::span(buf, static_cast<std::size_t>(n))),
+                  n);
+      }
+      max_parked = std::max<std::size_t>(max_parked, b.netif->tx_parked(0));
+    }
+  });
+  sched.CreateThread("load", [&] {
+    auto run_round = [&] {
+      std::uint8_t msg[8] = {'b', 'a', 't', 'c', 'h', 0, 0, 0};
+      for (std::size_t i = 0; i < kBurst; ++i) {
+        msg[5] = static_cast<std::uint8_t>(i);
+        ASSERT_EQ(client->SendTo(MakeIp(10, 0, 0, 2), 9000, msg), 8);
+      }
+      std::size_t replies = 0;
+      std::uint8_t buf[64];
+      for (int spins = 0; replies < kBurst && spins < 1000; ++spins) {
+        sched.Yield();
+        a.stack->Poll();
+        while (client->RecvInto(buf) > 0) {
+          ++replies;
+        }
+      }
+      ASSERT_EQ(replies, kBurst);
+    };
+    run_round();
+    guard.Rebase();
+    const std::uint64_t kicks = b.nic->kicks();
+    run_round();
+    // The whole burst was answered inside one batch: one TxBurst, one kick.
+    EXPECT_EQ(max_parked, kBurst);
+    EXPECT_EQ(b.nic->kicks() - kicks, 1u);
+    EXPECT_EQ(guard.pool_allocs(0), kBurst);
+    EXPECT_EQ(guard.pool_allocs(1), kBurst);
+    guard.ExpectHeapSteady("batched udp echo steady state");
+    stop = true;
+  });
+  EXPECT_EQ(sched.Run(), 0u);
+  EXPECT_EQ(b.nic->stats().tx_drops, 0u);
+}
+
+// A batch holding more frames than the TX ring (128 here), or than the
+// queue's TX pool, flushes early instead of dropping: every datagram arrives,
+// in order, and a ring-bound batch takes ceil(n / ring) bursts.
+TEST(TxBatch, BatchLargerThanRingOrPoolFlushesEarlyWithoutDrops) {
+  struct Case {
+    std::uint32_t pool_bufs;
+    std::size_t datagrams;
+    std::uint64_t bursts;  // 0: not asserted
+  };
+  for (const Case& c : {Case{1024, 300, 3}, Case{64, 200, 0}}) {
+    SCOPED_TRACE(testing::Message() << "pool " << c.pool_bufs);
+    ukplat::Clock clock;
+    ukplat::Wire wire(&clock);
+    Host a(&clock, &wire, 0, MakeIp(10, 0, 0, 1), 1, c.pool_bufs,
+           uknetdev::VirtioBackend::kVhostNet);
+    Host b(&clock, &wire, 1, MakeIp(10, 0, 0, 2), 1, 1024);
+    a.netif->AddArpEntry(MakeIp(10, 0, 0, 2), b.nic->mac());
+    b.netif->AddArpEntry(MakeIp(10, 0, 0, 1), a.nic->mac());
+    auto server = b.stack->UdpOpen();
+    ASSERT_TRUE(Ok(server->Bind(7)));
+    auto client = a.stack->UdpOpen();
+    {
+      NetStack::TxBatch batch(a.stack.get());
+      for (std::size_t i = 0; i < c.datagrams; ++i) {
+        std::uint8_t msg[2] = {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)};
+        ASSERT_EQ(client->SendTo(MakeIp(10, 0, 0, 2), 7, msg), 2) << "datagram " << i;
+      }
+      EXPECT_GT(a.nic->stats().tx_packets, 0u) << "nothing flushed before the batch closed";
+      EXPECT_LT(a.netif->tx_parked(0), c.datagrams);
+    }
+    EXPECT_EQ(a.netif->tx_parked(0), 0u);
+    EXPECT_EQ(a.nic->stats().tx_packets, c.datagrams);
+    EXPECT_EQ(a.nic->stats().tx_drops, 0u);
+    if (c.bursts != 0) {
+      EXPECT_EQ(a.nic->kicks(), c.bursts);
+    }
+    std::size_t got = 0;
+    for (int i = 0; i < 100 && got < c.datagrams; ++i) {
+      b.stack->Poll();
+      std::uint8_t buf[4];
+      std::int64_t n;
+      while ((n = server->RecvInto(buf)) > 0) {
+        ASSERT_EQ(n, 2);
+        EXPECT_EQ(buf[0] | (buf[1] << 8), static_cast<int>(got));
+        ++got;
+      }
+    }
+    EXPECT_EQ(got, c.datagrams);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // ring semantics, wire fabric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "ukplat/clock.h"
@@ -66,6 +67,30 @@ TEST(MemRegion, OutOfBoundsCountsFaults) {
   mem.Write<std::uint64_t>(12, 1);  // spans past the end
   EXPECT_EQ(mem.Read<std::uint64_t>(12), 0u);
   EXPECT_EQ(mem.fault_count(), 2u);
+}
+
+TEST(MemRegion, FreshAndResetRegionsReadAllZero) {
+  // Backed on demand: nothing is written at construction, yet every byte
+  // reads zero, and Reset drops what the guest wrote back to zero. The odd
+  // size leaves a partial last page.
+  constexpr std::size_t kBytes = (3 << 20) + 123;
+  MemRegion mem(kBytes);
+  auto all_zero = [&] {
+    const std::byte* p = mem.At(0, kBytes);
+    return p != nullptr &&
+           std::all_of(p, p + kBytes, [](std::byte b) { return b == std::byte{0}; });
+  };
+  EXPECT_TRUE(all_zero());
+  for (std::uint64_t gpa : {std::uint64_t{0}, std::uint64_t{4095}, std::uint64_t{1 << 20},
+                            std::uint64_t{kBytes - 8}}) {
+    mem.Write<std::uint64_t>(gpa, ~0ull);
+  }
+  ASSERT_NE(mem.Carve(4096, 64), MemRegion::kBadGpa);
+  mem.Reset();
+  EXPECT_TRUE(all_zero());
+  EXPECT_EQ(mem.carve_brk(), 0u);
+  EXPECT_EQ(mem.Read<std::uint64_t>(kBytes - 8), 0u);
+  EXPECT_EQ(mem.fault_count(), 0u);
 }
 
 TEST(MemRegion, CarveAlignsAndExhausts) {

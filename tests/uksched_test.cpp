@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -382,11 +383,19 @@ TEST_F(SchedTest, RealThreadsExternalWakeLandsWhileIdle) {
   ThreadScheduler sched(alloc_.get(), &clock_);
   WaitQueue wq(&sched);
   bool woken = false;
+  // The doorbell must ring after the sleeper parks (a Wake with no waiter is
+  // lost, as on the fiber backend), so the producer's delay starts once the
+  // sleeper runs, not when the OS gets round to dispatching its thread.
+  std::atomic<bool> parking{false};
   sched.CreateThread("sleeper", [&] {
+    parking.store(true, std::memory_order_release);
     wq.Wait();
     woken = true;
   });
   std::thread producer([&] {
+    while (!parking.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     wq.Wake();
   });
@@ -436,6 +445,39 @@ TEST_F(SchedTest, RealThreadsReportBlockedAndDetachAtTeardown) {
   sched->CreateThread("stuck", [&] { wq.Wait(); });
   EXPECT_EQ(sched->Run(), 1u);  // reported, exactly like the fiber backend
   sched.reset();  // dtor detaches the parked thread; must not hang or crash
+}
+
+TEST_F(SchedTest, RealThreadsBlockedThreadsOutliveTheirSchedulers) {
+  // A thread still blocked when its scheduler dies is detached and keeps
+  // waiting on the baton it co-owns. Every round frees a scheduler over such
+  // threads and scribbles over freed heap of the same size, so a wait that
+  // still reads scheduler state would see garbage (or trip ASan) instead of
+  // quietly reading a dead object that still looks alive.
+  ThreadScheduler::Config cfg;
+  cfg.idle_grace = std::chrono::microseconds(50);
+  cfg.idle_strike_limit = 1;
+  // Every round leaves two OS threads parked for the life of the process,
+  // so the round count stays small: CI repeats this test 50 times.
+  for (int round = 0; round < 6; ++round) {
+    auto sched = std::make_unique<ThreadScheduler>(alloc_.get(), &clock_, cfg);
+    WaitQueue wq(sched.get());
+    for (int i = 0; i < 2; ++i) {
+      sched->CreateThread("stuck", [&wq] { wq.Wait(); });
+    }
+    EXPECT_EQ(sched->Run(), 2u);
+    sched.reset();
+    std::vector<void*> reuse;
+    for (int i = 0; i < 4; ++i) {
+      reuse.push_back(::operator new(sizeof(ThreadScheduler)));
+      std::memset(reuse.back(), 0xA5, sizeof(ThreadScheduler));
+    }
+    // The teardown's notify_all makes every parked thread re-evaluate its
+    // wait predicate; give them real time to do so against the reused memory.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    for (void* p : reuse) {
+      ::operator delete(p);
+    }
+  }
 }
 
 TEST_F(SchedTest, RealThreadsManyThreadsAllComplete) {
