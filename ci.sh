@@ -16,8 +16,10 @@
 # multi-instance fleet scenarios); the fleet-scaling bench gates >=3x churn
 # at 4 backends plus cold-start-under-load, and reruns under ASan+UBSan.
 # Markdown hygiene: every relative link in every *.md must resolve.
+# Dead-code gate: every non-inline library function must be linked by some
+# test, bench, example or the end-to-end benchmark.
 # Usage: ./ci.sh [build-dir]   (default: build-ci; sanitizer legs append
-# -asan / -tsan)
+# -asan / -tsan, the dead-code scan -dce)
 set -euo pipefail
 
 BUILD_DIR="${1:-build-ci}"
@@ -52,6 +54,44 @@ check_md_links() {
 check_md_links
 echo "ci: markdown links OK"
 
+# ---- unlinked library code --------------------------------------------------
+# Every non-inline function libukraft.a defines must be kept by at least one
+# binary. One -O0 tree (so inlining hides no call) holds ukraft_e2e plus every
+# test, bench and example, compiled with -ffunction-sections -fdata-sections
+# (the data sections keep a switch's jump table from pinning its function)
+# and linked with --gc-sections, so each binary keeps only what it reaches.
+# The library's T symbols minus every symbol any binary defines are the
+# functions nothing links. Names are compared demangled, which folds the
+# constructor (C1/C2) and destructor (D0/D1/D2) variants into one name.
+check_unlinked_code() {
+  local dir="${BUILD_DIR}-dce" gen=() dead
+  if command -v ninja > /dev/null; then
+    gen=(-G Ninja)
+  fi
+  if [[ ! -f "$dir/CMakeCache.txt" ]]; then
+    cmake -S bench/e2e -B "$dir" "${gen[@]}" -DCMAKE_BUILD_TYPE=Debug \
+      -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
+      "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections" \
+      -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections > /dev/null
+  fi
+  cmake --build "$dir" -j "$JOBS" --target ukraft_e2e > /dev/null
+  if [[ -f "$dir/build.ninja" ]]; then
+    cmake --build "$dir" -j "$JOBS" --target ukraft/all > /dev/null
+  else
+    make -C "$dir/ukraft" -j "$JOBS" all > /dev/null
+  fi
+  dead="$(comm -23 \
+    <(nm -C --defined-only "$dir/ukraft/libukraft.a" | awk '$2 == "T"' |
+        cut -d' ' -f3- | sort -u) \
+    <(find "$dir" -maxdepth 2 -type f -perm -u+x -exec nm -C --defined-only {} + |
+        awk 'NF >= 3' | cut -d' ' -f3- | sort -u))"
+  if [[ -n "$dead" ]]; then
+    echo "ci: library functions kept by no binary:" >&2
+    sed 's/^/  /' <<< "$dead" >&2
+    return 1
+  fi
+}
+
 cmake -B "$BUILD_DIR" -S . -DUKRAFT_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 # Fast feedback first: tier1 (everything but the fleet scenarios) fails the
@@ -64,6 +104,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L tier2
 # dies must wait only on the baton it co-owns. A use-after-free there crashes
 # some runs and not others, so the real-thread tests repeat 50 times.
 "$BUILD_DIR"/uksched_test --gtest_filter='*RealThreads*' --gtest_repeat=50
+
+check_unlinked_code
+echo "ci: every library function is linked by some binary"
 
 # SMP scale-out leg: the same suite at full RSS width (every TestBed-based
 # test runs 4 queues / 4 shards), then the cores-vs-throughput gate — the
@@ -122,11 +165,12 @@ sanitized ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -L tier2
 # through the blockfs bounce region — lifetime/offset territory.
 (cd "$ASAN_BUILD_DIR" && sanitized ./bench_persist)
 
-# TCP loss-recovery leg: a 1 MB echo at 1% deterministic frame loss, modern
-# (NewReno + SACK + delayed ACKs + window scaling) vs legacy stop-and-wait.
-# The binary self-checks: modern must beat legacy by >=5x, recover via fast
-# retransmit (not RTO stalls), and complete every retransmission on the
-# retained-segment zero-copy path (rexmit_copy_allocs == 0). Running it under
+# TCP loss-recovery leg: a 1 MB echo at 1% deterministic frame loss against
+# the same stream lossless. The binary self-checks on modeled time: the lossy
+# run keeps >=95% of the lossless goodput, repairs every loss by fast
+# retransmit (at least one, and zero RTO retransmissions), completes every
+# retransmission on the retained-segment zero-copy path
+# (rexmit_copy_allocs == 0), and both streams complete. Running it under
 # ASan+UBSan puts the recovery machinery -- scoreboard marking, retained-netbuf
 # re-emission, OOO range merging -- under lifetime/offset checking on every
 # push, and emits BENCH_tab5_tcp_loss.json next to the build dir.
@@ -166,4 +210,4 @@ UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/fleet_test
 # (emits BENCH_rss_scaling_threads.json next to the fiber-mode trendline).
 (cd "$BUILD_DIR" && UKRAFT_THREADS=real ./bench_fig_rss_scaling --threads)
 
-echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet and persistence legs; TSan covered the sharded suites plus the loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"
+echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; no unlinked library functions; tests passed tier1+tier2 plain, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet and persistence legs; TSan covered the sharded suites plus the loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"

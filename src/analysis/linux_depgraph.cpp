@@ -29,16 +29,6 @@ std::uint64_t ComponentGraph::Coupling(const std::string& component) const {
   return sum;
 }
 
-std::string ComponentGraph::ToDot() const {
-  std::string dot = "digraph linux {\n";
-  for (const WeightedEdge& e : edges) {
-    dot += "  \"" + e.from + "\" -> \"" + e.to + "\" [label=\"" +
-           std::to_string(e.calls) + "\"];\n";
-  }
-  dot += "}\n";
-  return dot;
-}
-
 const ComponentGraph& LinuxKernelGraph() {
   // Weighted edges transcribed from the paper's Fig 1 annotations (cscope
   // cross-component call counts between kernel source subdirectories).

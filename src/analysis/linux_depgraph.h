@@ -32,7 +32,6 @@ struct ComponentGraph {
   double Density() const;
   // Sum of in+out call weights for |component| (how hard it is to remove).
   std::uint64_t Coupling(const std::string& component) const;
-  std::string ToDot() const;
 };
 
 // Fig 1's graph: 12 kernel components, cscope-derived call counts.

@@ -50,7 +50,10 @@ std::size_t EventLoop::PumpOnce(std::uint64_t timeout_cycles) {
   std::size_t dispatched = 0;
   {
     // Every reply this dispatch sends leaves in one TxBurst per queue when the
-    // batch closes: one doorbell for the turn, not one per segment.
+    // batch closes: one doorbell for the turn, not one per segment. The
+    // turn-end hooks run inside the batch, so a reply leaves only after the
+    // hooks have run — persistence writes (and per policy flushes) the turn's
+    // AOF before any of its acknowledgements reach the NIC.
     uknet::NetStack::TxBatch batch(api_->net());
     for (int i = 0; i < n; ++i) {
       const posix::EpollEvent& ev = ready_[static_cast<std::size_t>(i)];
@@ -69,9 +72,9 @@ std::size_t EventLoop::PumpOnce(std::uint64_t timeout_cycles) {
       ++dispatched;
       ++dispatches_;
     }
-  }
-  for (const auto& hook : turn_hooks_) {
-    hook();
+    for (const auto& hook : turn_hooks_) {
+      hook();
+    }
   }
   return dispatched;
 }

@@ -39,12 +39,14 @@ class EventLoop {
   std::size_t PumpOnce(std::uint64_t timeout_cycles = 0);
 
   // Registers a callback that runs at the END of every PumpOnce turn, after
-  // all ready handlers dispatched. This is the persistence tier's batching
-  // point: per-command work appends into memory, the turn hook does the one
-  // file write (+ optional fsync) and advances the background-snapshot cursor
-  // by its per-turn budget — so durability costs are amortized per turn, and
-  // pause bounds are enforced at turn granularity. Hooks run in registration
-  // order and cannot be removed (lifetime: owner outlives the loop's use).
+  // all ready handlers dispatched and before the turn's replies leave (the
+  // dispatch's TX batch closes after the hooks). This is the persistence
+  // tier's batching point: per-command work appends into memory, the turn
+  // hook does the one file write (+ optional fsync) and advances the
+  // background-snapshot cursor by its per-turn budget — so durability costs
+  // are amortized per turn, and pause bounds are enforced at turn
+  // granularity. Hooks run in registration order and cannot be removed
+  // (lifetime: owner outlives the loop's use).
   void AddTurnEndHook(std::function<void()> hook) {
     turn_hooks_.push_back(std::move(hook));
   }

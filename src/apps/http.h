@@ -49,7 +49,6 @@ class HttpServer {
 
   std::uint64_t requests_served() const { return requests_; }
   std::size_t connections() const { return server_.connections(); }
-  EventLoop& loop() { return loop_; }
 
  private:
   // The connection machinery is the shared StreamServer scaffold; this class

@@ -8,16 +8,6 @@
 
 namespace apps {
 
-const char* KvModeName(KvMode mode) {
-  switch (mode) {
-    case KvMode::kSocketSingle: return "socket-single";
-    case KvMode::kSocketBatch: return "socket-batch";
-    case KvMode::kUkNetdev: return "uknetdev";
-    case KvMode::kDpdkStyle: return "dpdk";
-  }
-  return "?";
-}
-
 std::vector<std::uint8_t> EncodeKvRequest(const KvRequest& req) {
   std::vector<std::uint8_t> out;
   out.push_back(req.is_set ? 'S' : 'G');
@@ -976,10 +966,6 @@ KvServer::Stats KvServer::stats() const {
 }
 
 KvServer::WaitStats KvServer::wait_stats() const { return stats().waits; }
-
-KvServer::WaitStats KvServer::wait_stats(std::uint16_t queue) const {
-  return stats(queue).waits;
-}
 
 std::uint64_t KvServer::requests() const { return stats().requests; }
 

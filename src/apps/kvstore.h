@@ -31,7 +31,6 @@
 namespace apps {
 
 enum class KvMode { kSocketSingle, kSocketBatch, kUkNetdev, kDpdkStyle };
-const char* KvModeName(KvMode mode);
 
 // Wire format: 'G'/'S' + u16 key [+ u16 value len + bytes]. Reply: value or 'E'.
 // Multi-get: 'M' + u8 n + n*u16 keys; reply 'V' + u8 n + n*(u16 len + bytes),
@@ -79,17 +78,16 @@ class KvServer {
   static constexpr std::uint64_t kNoWaitDeadline = uksched::Scheduler::kNoDeadline;
 
   // Snapshot type. The live counters are PER-LOOP (one cacheline-padded slot
-  // per queue's loop); wait_stats() sums the slots at read time and
-  // wait_stats(queue) slices out one loop's view, so concurrent loops never
-  // write-share a counter line and readers never race a writer.
+  // per queue's loop); wait_stats() sums the slots at read time, so
+  // concurrent loops never write-share a counter line and readers never race
+  // a writer.
   struct WaitStats {
     std::uint64_t empty_pumps = 0;    // pump passes that found no request
     std::uint64_t blocked_waits = 0;  // times a pump loop actually slept
     std::uint64_t intr_fires = 0;     // RX interrupt handler invocations
     std::uint64_t timeouts = 0;       // waits ended by the caller's deadline
   };
-  WaitStats wait_stats() const;                     // all loops, summed
-  WaitStats wait_stats(std::uint16_t queue) const;  // one loop's slot
+  WaitStats wait_stats() const;  // all loops, summed
 
   // Full snapshot: every aggregate the benches and tests read, captured from
   // the per-loop slots in one call. stats() sums across loops; stats(queue)

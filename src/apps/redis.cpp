@@ -77,13 +77,8 @@ void ValueStore::CaptureKeys(std::vector<std::string>* keys) const {
 
 RedisServer::RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc,
                          std::uint16_t port)
-    : api_(api), port_(port), loop_(api), active_loop_(&loop_),
-      server_(api, &loop_, MakeHandler()), store_(alloc) {}
-
-RedisServer::RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc,
-                         std::uint16_t port, EventLoop* loop)
-    : api_(api), port_(port), loop_(api), active_loop_(loop),
-      server_(api, loop, MakeHandler()), store_(alloc) {}
+    : api_(api), port_(port), loop_(api), server_(api, &loop_, MakeHandler()),
+      store_(alloc) {}
 
 StreamServer::Handler RedisServer::MakeHandler() {
   StreamServer::Handler h;
@@ -122,7 +117,7 @@ void RedisServer::AttachPersist(Persist* persist) {
   // The batching point: per-command appends stay in memory, the turn hook
   // does the one segment write (+ fsync per policy) and advances any
   // background save by its per-turn chunk budget.
-  active_loop_->AddTurnEndHook([persist] { persist->OnTurnEnd(); });
+  loop_.AddTurnEndHook([persist] { persist->OnTurnEnd(); });
 }
 
 Persist::RecoverStats RedisServer::RecoverFromPersist() {
@@ -297,7 +292,7 @@ std::size_t RedisServer::PumpOnce() { return PumpWait(0); }
 
 std::size_t RedisServer::PumpWait(std::uint64_t timeout_cycles) {
   const std::uint64_t before = commands_;
-  active_loop_->PumpOnce(timeout_cycles);
+  loop_.PumpOnce(timeout_cycles);
   return static_cast<std::size_t>(commands_ - before);
 }
 

@@ -64,17 +64,11 @@ class ValueStore {
 // The connection machinery (accept drain, recv loop, interest-tracked flush,
 // close-after-drain) lives in the shared apps::StreamServer scaffold; this
 // class is only the RESP protocol: a per-connection parser plus ExecuteInto
-// over its ValueStore. In sharded deployments N instances ride N per-queue
-// loops; instance 0 listens and steers each accepted fd to the instance
-// owning the connection's RSS queue, so every loop runs one code path.
+// over its ValueStore. One instance runs one loop; sharding the keyspace
+// across loops is the keyspace engine's job, not a second accept path.
 class RedisServer {
  public:
   RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc, std::uint16_t port);
-  // Sharded instance riding an external per-queue loop. Only the instance
-  // that calls Start() listens; siblings receive fds through the steering
-  // hook (SetSteer on the listener, targets returned by stream()).
-  RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc, std::uint16_t port,
-              EventLoop* loop);
 
   // Starts listening and registers with the event loop. False on failure.
   bool Start();
@@ -90,19 +84,16 @@ class RedisServer {
   std::uint64_t probe_commands() const { return probe_commands_; }
   std::size_t connections() const { return server_.connections(); }
   ValueStore& store() { return store_; }
-  EventLoop& loop() { return *active_loop_; }
   StreamServer& stream() { return server_; }
 
   // Wires the durability tier in: the store becomes the persist Source, every
   // mutation is AOF-logged (and COW-guarded during background saves), and the
-  // active loop gets a turn-end hook that batches the file I/O. Enables the
+  // loop gets a turn-end hook that batches the file I/O. Enables the
   // SAVE / BGSAVE / WAITAOF commands. Call before traffic.
   void AttachPersist(Persist* persist);
   // Replays snapshot + AOF into the (empty) store — the kLate boot step.
   Persist::RecoverStats RecoverFromPersist();
   Persist* persist() { return persist_; }
-  // Steering hook for sharded accept-steer-dispatch (listener instance only).
-  void SetSteer(StreamServer::Steer steer) { server_.SetSteer(std::move(steer)); }
 
  private:
   // Appends the reply straight into |out| (the connection's pending buffer):
@@ -113,8 +104,7 @@ class RedisServer {
 
   posix::PosixApi* api_;
   std::uint16_t port_;
-  EventLoop loop_;            // owned loop (single-loop deployments)
-  EventLoop* active_loop_;    // the loop this instance actually rides
+  EventLoop loop_;
   StreamServer server_;
   ValueStore store_;
   Persist* persist_ = nullptr;  // optional durability tier (unowned)

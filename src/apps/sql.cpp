@@ -16,7 +16,6 @@ class Tokenizer {
   std::string Next();
   std::string Peek();
   bool Expect(std::string_view token);  // consumes iff it matches (ci)
-  bool AtEnd();
 
   // Last token's kind.
   bool last_was_string() const { return last_was_string_; }
@@ -32,11 +31,6 @@ void Tokenizer::SkipSpace() {
   while (pos_ < sql_.size() && std::isspace(static_cast<unsigned char>(sql_[pos_]))) {
     ++pos_;
   }
-}
-
-bool Tokenizer::AtEnd() {
-  SkipSpace();
-  return pos_ >= sql_.size() || sql_[pos_] == ';';
 }
 
 std::string Tokenizer::Peek() {

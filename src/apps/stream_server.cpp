@@ -34,24 +34,15 @@ void StreamServer::OnAcceptable() {
     if (fd < 0) {
       break;
     }
-    StreamServer* owner = this;
-    if (steer_) {
-      StreamServer* steered = steer_(fd);
-      if (steered != nullptr) {
-        owner = steered;
-      }
-    }
-    if (!owner->Adopt(fd)) {
-      continue;  // Adopt closed the fd
-    }
+    Adopt(fd);
   }
 }
 
-bool StreamServer::Adopt(int fd) {
+void StreamServer::Adopt(int fd) {
   if (!loop_->Add(fd, uknet::kEvtReadable,
                   [this](int cfd, uknet::EventMask ev) { OnConnEvent(cfd, ev); })) {
     api_->Close(fd);  // cannot watch it: an unregistered conn would leak
-    return false;
+    return;
   }
   auto [it, inserted] = conns_.emplace(fd, Conn{});
   it->second.fd = fd;
@@ -59,7 +50,6 @@ bool StreamServer::Adopt(int fd) {
   if (handler_.on_open) {
     handler_.on_open(it->second);
   }
-  return true;
 }
 
 void StreamServer::CloseConn(int fd) {

@@ -6,13 +6,8 @@
 // interest tracking (watch kEvtWritable only while bytes are backlogged so an
 // idle connection lets the loop sleep), and close after the drain once the
 // peer sent FIN or the app asked for teardown. This scaffold is that copy,
-// extracted once, with the protocol reduced to three callbacks.
-//
-// It is also the fork point for SMP scale-out (§6): the scaffold does not own
-// its EventLoop, so N instances can ride N per-queue loops while a steering
-// hook on the listening instance hands each accepted fd to the instance whose
-// loop owns the connection's RSS queue (accept-steer-dispatch) — every loop
-// runs this one code path.
+// extracted once, with the protocol reduced to three callbacks. It does not
+// own its EventLoop: the app that embeds it passes the loop it runs.
 #ifndef APPS_STREAM_SERVER_H_
 #define APPS_STREAM_SERVER_H_
 
@@ -51,7 +46,7 @@ class StreamServer {
   };
 
   struct Handler {
-    // Ran once per accepted/adopted connection; seed c.user here.
+    // Ran once per accepted connection; seed c.user here.
     std::function<void(Conn&)> on_open;
     // Ran per received chunk: consume |data| (and/or buffer it in c.in),
     // append replies to c.out, set c.want_close to close after the flush.
@@ -60,12 +55,6 @@ class StreamServer {
     std::function<void(Conn&)> on_close;
   };
 
-  // Steering hook for the listening instance: maps a freshly accepted fd to
-  // the StreamServer that must own it (return this/nullptr to keep it local).
-  // The chosen instance may run on another loop; the caller is responsible
-  // for waking that loop (NetStack::RaiseQueueEvent on its queue).
-  using Steer = std::function<StreamServer*(int fd)>;
-
   StreamServer(posix::PosixApi* api, EventLoop* loop, Handler handler)
       : api_(api), loop_(loop), handler_(std::move(handler)) {}
   ~StreamServer();
@@ -73,15 +62,8 @@ class StreamServer {
   StreamServer(const StreamServer&) = delete;
   StreamServer& operator=(const StreamServer&) = delete;
 
-  // Binds, listens and registers the acceptor with the loop. One listening
-  // instance per port; sharded siblings receive their fds via Adopt.
+  // Binds, listens and registers the acceptor with the loop.
   bool Listen(std::uint16_t port);
-  void SetSteer(Steer steer) { steer_ = std::move(steer); }
-
-  // Registers an fd accepted elsewhere (the steering acceptor) with this
-  // instance's loop and runs on_open. False when the loop cannot watch it
-  // (the fd is closed — an unregistered conn would leak).
-  bool Adopt(int fd);
 
   // Health-probe announcement: a connection whose first received bytes are
   // exactly this preamble is marked Conn::probe and counted in probe_conns()
@@ -113,10 +95,12 @@ class StreamServer {
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t probe_conns() const { return probe_conns_; }
   int listen_fd() const { return listen_fd_; }
-  EventLoop* loop() { return loop_; }
 
  private:
   void OnAcceptable();
+  // Registers an accepted fd with the loop and runs on_open. An fd the loop
+  // cannot watch is closed instead — an unregistered conn would leak.
+  void Adopt(int fd);
   void OnConnEvent(int fd, uknet::EventMask events);
   void CloseConn(int fd);
   // Flushes pending replies; keeps kEvtWritable interest while bytes remain.
@@ -125,7 +109,6 @@ class StreamServer {
   posix::PosixApi* api_;
   EventLoop* loop_;
   Handler handler_;
-  Steer steer_;
   int listen_fd_ = -1;
   std::map<int, Conn> conns_;
   std::uint64_t accepted_ = 0;

@@ -65,8 +65,6 @@ TestBed::TestBed(Profile profile) : profile_(std::move(profile)) {
                                            profile_.dispatch);
 }
 
-void TestBed::ChargeRequestOverhead() { clock_.Charge(profile_.per_request_overhead); }
-
 void TestBed::ChargeHostNetPath(std::size_t packets) {
   if (!profile_.virtualized) {
     clock_.Charge(profile_.host_net_per_packet * packets);

@@ -36,7 +36,6 @@ enum class DispatchMode {
   kLinuxTrap,
   kLinuxTrapFast,
 };
-const char* DispatchModeName(DispatchMode m);
 
 struct SyscallArgs {
   std::uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0, a4 = 0, a5 = 0;

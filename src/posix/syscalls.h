@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <set>
 #include <string_view>
-#include <vector>
 
 namespace posix {
 
@@ -24,9 +23,6 @@ int SyscallNumber(std::string_view name);
 
 // The 146 syscalls the simulated Unikraft implements or stubs meaningfully.
 const std::set<int>& SupportedSyscalls();
-
-// Convenience: all valid numbers in [0, kMaxSyscallNr].
-std::vector<int> AllSyscallNumbers();
 
 }  // namespace posix
 

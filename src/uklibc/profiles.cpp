@@ -4,15 +4,6 @@
 
 namespace uklibc {
 
-const char* LibcName(Libc l) {
-  switch (l) {
-    case Libc::kNolibc: return "nolibc";
-    case Libc::kNewlib: return "newlib";
-    case Libc::kMusl: return "musl";
-  }
-  return "?";
-}
-
 const std::vector<std::string>& SymbolsInGroup(SymbolGroup g) {
   static const std::map<SymbolGroup, std::vector<std::string>> kGroups = {
       {SymbolGroup::kCore,
@@ -83,29 +74,6 @@ bool LibcProfile::Provides(std::string_view symbol) const {
     }
   }
   return false;
-}
-
-std::set<std::string> LibcProfile::AllSymbols() const {
-  std::set<std::string> out;
-  for (SymbolGroup g : {SymbolGroup::kCore, SymbolGroup::kPosix, SymbolGroup::kPosixWide,
-                        SymbolGroup::kGlibcChk, SymbolGroup::kGlibc64,
-                        SymbolGroup::kGlibcMisc}) {
-    if (!GroupProvided(*this, g)) {
-      continue;
-    }
-    for (const std::string& s : SymbolsInGroup(g)) {
-      out.insert(s);
-    }
-  }
-  return out;
-}
-
-std::string LibcProfile::DisplayName() const {
-  std::string name = LibcName(libc);
-  if (glibc_compat_layer) {
-    name += "+compat";
-  }
-  return name;
 }
 
 }  // namespace uklibc

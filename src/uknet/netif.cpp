@@ -306,23 +306,6 @@ bool NetIf::SendIp(Ip4Addr dst, std::uint8_t proto,
   return SendIpBuf(dst, proto, nb, queue);
 }
 
-bool NetIf::SendEth(uknetdev::MacAddr dst, std::uint16_t ethertype,
-                    std::span<const std::uint8_t> payload) {
-  uknetdev::NetBuf* nb = AllocTxBuf();
-  if (nb == nullptr) {
-    return false;
-  }
-  std::uint8_t* body = nb->Append(*mem_, static_cast<std::uint32_t>(payload.size()));
-  if (body == nullptr) {
-    FreeTxBuf(nb);
-    return false;
-  }
-  if (!payload.empty()) {
-    std::memcpy(body, payload.data(), payload.size());
-  }
-  return SendEthBuf(dst, ethertype, nb);
-}
-
 void NetIf::SendArpRequest(Ip4Addr target, std::uint16_t queue) {
   ArpPacket arp;
   arp.oper = 1;

@@ -349,9 +349,9 @@ std::shared_ptr<TcpSocket> NetStack::TcpConnect(Ip4Addr dst, std::uint16_t port)
   sock->snd_nxt_ = iss + 1;  // SYN consumes one
   sock->EnterState(TcpState::kSynSent);
   tcp_conns_.Insert(ConnKey{sock->local_port_, dst, port}, sock);
-  // SYN segment. The modern stack offers its options here; negotiation
-  // completes when the SYN|ACK arrives (TcpSocket::OnSegment). The window
-  // field of a SYN is always unscaled — rcv_wscale_ is still 0 here, so
+  // SYN segment, offering MSS, window scale and SACK; negotiation completes
+  // when the SYN|ACK arrives (TcpSocket::OnSegment). The window field of a
+  // SYN is always unscaled — rcv_wscale_ is still 0 here, so
   // AdvertisedWindow() is the raw clamped space.
   TcpHeader hdr;
   hdr.src_port = sock->local_port_;
@@ -359,13 +359,10 @@ std::shared_ptr<TcpSocket> NetStack::TcpConnect(Ip4Addr dst, std::uint16_t port)
   hdr.seq = iss;
   hdr.flags = kTcpSyn;
   hdr.window = sock->AdvertisedWindow();
-  if (tcp_modern) {
-    hdr.mss = static_cast<std::uint16_t>(TcpSocket::kMss);
-    hdr.wscale = WscaleFor(sock->recv_cap_);
-    hdr.sack_permitted = true;
-    sock->rcv_wscale_offer_ = hdr.wscale;
-    sock->sack_offered_ = true;
-  }
+  hdr.mss = static_cast<std::uint16_t>(TcpSocket::kMss);
+  hdr.wscale = WscaleFor(sock->recv_cap_);
+  hdr.sack_permitted = true;
+  sock->rcv_wscale_offer_ = hdr.wscale;
   ++sock->tcp_stats_.segments_sent;
   SendTcpHeaderOnly(netif, dst, hdr, sock->tx_queue_);
   sock->rtx_epoch_cycles_ = clock_->cycles();
@@ -517,7 +514,7 @@ std::uint64_t NetStack::NextTimerDeadline() const {
     if (SeqLt(conn->snd_una_, conn->snd_nxt_)) {
       // RTO of in-flight data, at the connection's current backoff.
       d = conn->rtx_epoch_cycles_ + rto_cycles * conn->rto_backoff_;
-      if (tcp_modern && conn->sack_enabled_ && !conn->tlp_probe_sent_ &&
+      if (conn->sack_enabled_ && !conn->tlp_probe_sent_ &&
           conn->rto_backoff_ == 1) {
         // Tail-loss probe fires at a quarter RTO; a blocked loop has to wake
         // for it or the probe degenerates back into the full RTO stall it
@@ -676,29 +673,6 @@ NetStack::WaitStats NetStack::wait_stats() const {
         s.queue_event_wakeups.load(std::memory_order_relaxed);
   }
   return sum;
-}
-
-NetStack::WaitStats NetStack::wait_stats(std::uint16_t queue) const {
-  const WaitSlot& s =
-      wait_slots_[queue == kAllQueues ? kAllQueuesSlot : QueueSlot(queue)];
-  return WaitStats{
-      .poll_iterations = s.poll_iterations.load(std::memory_order_relaxed),
-      .blocked_waits = s.blocked_waits.load(std::memory_order_relaxed),
-      .frame_wakeups = s.frame_wakeups.load(std::memory_order_relaxed),
-      .timer_wakeups = s.timer_wakeups.load(std::memory_order_relaxed),
-      .queue_event_wakeups =
-          s.queue_event_wakeups.load(std::memory_order_relaxed),
-  };
-}
-
-bool NetStack::PollUntil(const std::function<bool()>& pred, int max_iters) {
-  for (int i = 0; i < max_iters; ++i) {
-    if (pred()) {
-      return true;
-    }
-    Poll();
-  }
-  return pred();
 }
 
 std::uint16_t NetStack::AllocEphemeralPort() {
@@ -864,20 +838,15 @@ void NetStack::HandleTcp(NetIf* netif, std::uint16_t queue, const Ip4Header& ip,
       synack.ack = sock->rcv_nxt_;
       synack.flags = kTcpSyn | kTcpAck;
       synack.window = sock->AdvertisedWindow();
-      if (tcp_modern) {
-        synack.mss = static_cast<std::uint16_t>(TcpSocket::kMss);
-        if (hdr->mss != 0) {
-          sock->peer_mss_ = hdr->mss;
-        }
-        if (hdr->wscale >= 0) {
-          synack.wscale = WscaleFor(sock->recv_cap_);
-          sock->snd_wscale_ = hdr->wscale;
-          sock->rcv_wscale_ = synack.wscale;
-        }
-        if (hdr->sack_permitted) {
-          synack.sack_permitted = true;
-          sock->sack_enabled_ = true;
-        }
+      synack.mss = static_cast<std::uint16_t>(TcpSocket::kMss);
+      if (hdr->wscale >= 0) {
+        synack.wscale = WscaleFor(sock->recv_cap_);
+        sock->snd_wscale_ = hdr->wscale;
+        sock->rcv_wscale_ = synack.wscale;
+      }
+      if (hdr->sack_permitted) {
+        synack.sack_permitted = true;
+        sock->sack_enabled_ = true;
       }
       ++sock->tcp_stats_.segments_sent;
       SendTcpHeaderOnly(netif, ip.src, synack, sock->tx_queue_);

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -235,8 +234,6 @@ class NetIf {
  private:
   friend class NetStack;
 
-  bool SendEth(uknetdev::MacAddr dst, std::uint16_t ethertype,
-               std::span<const std::uint8_t> payload);
   // Batch dispatch: classifies and handles |cnt| received buffers (all from
   // RX |queue|); frees each unless an upper layer retained it (UDP zero-copy
   // delivery).
@@ -411,7 +408,6 @@ enum class TcpState {
   kClosed, kListen, kSynSent, kSynRcvd, kEstablished,
   kFinWait1, kFinWait2, kCloseWait, kLastAck, kClosing, kTimeWait,
 };
-const char* TcpStateName(TcpState s);
 
 // One queued TX segment: |nb| holds the payload bytes for [seq, seq+len) at
 // a recorded headroom. The retransmission queue owns one reference to |nb|
@@ -644,8 +640,6 @@ class TcpSocket : public SocketEventSource {
   // above it (cwnd += MSS*MSS/cwnd per ACK). Fast recovery inflates cwnd by
   // one MSS per dup ACK and deflates to ssthresh when |recover_| is fully
   // ACKed; partial ACKs retransmit the next hole without leaving recovery.
-  // Legacy mode (NetStack::tcp_modern == false) pins cwnd wide open so the
-  // pre-modern stop-and-go behavior stays available as a bench baseline.
   std::uint32_t cwnd_ = 10 * kMss;        // IW10
   std::uint32_t ssthresh_ = 0x7fffffff;   // "infinite" until first loss
   bool in_fast_recovery_ = false;
@@ -658,13 +652,11 @@ class TcpSocket : public SocketEventSource {
 
   // ---- negotiated options --------------------------------------------------
   bool sack_enabled_ = false;      // both sides sent SACK-permitted
-  bool sack_offered_ = false;      // we sent SACK-permitted on our SYN
   int snd_wscale_ = 0;             // shift applied to the peer's window field
   int rcv_wscale_ = 0;             // shift the peer applies to ours
-  // The shift we offered on our SYN (-1 = none). rcv_wscale_ stays 0 until
-  // the peer echoes the option — the SYN's own window must go out unscaled.
-  std::int8_t rcv_wscale_offer_ = -1;
-  std::uint32_t peer_mss_ = kMss;
+  // The shift we offered on our SYN. rcv_wscale_ stays 0 until the peer
+  // echoes the option — the SYN's own window must go out unscaled.
+  std::int8_t rcv_wscale_offer_ = 0;
   std::size_t send_cap_ = kSendBufCap;
   std::size_t recv_cap_ = kRecvBufCap;
 
@@ -772,8 +764,6 @@ class NetStack {
   // the pump sends (ACKs, replies, retransmissions) leaves in one TxBurst per
   // queue at its end.
   void Poll();
-  // Test helper: polls until |pred| or |max_iters| rounds.
-  bool PollUntil(const std::function<bool()>& pred, int max_iters = 10000);
 
   // ---- interrupt-driven idle (§3.3 scheduler integration) -----------------
   // Sentinels: PollWait(kAllQueues) waits for traffic on any queue of any
@@ -871,8 +861,7 @@ class NetStack {
   // Snapshot type. The live counters are PER-LOOP: each PollWait(queue) bumps
   // its own queue's cacheline-padded slot (PollWait(kAllQueues) and Poll()
   // share one extra slot), so sharded loops never bounce a counter line.
-  // wait_stats() sums the slots into a snapshot at read time;
-  // wait_stats(queue) slices out one loop's view.
+  // wait_stats() sums the slots into a snapshot at read time.
   struct WaitStats {
     std::uint64_t poll_iterations = 0;  // drain passes PollWait executed
     std::uint64_t blocked_waits = 0;    // times a caller actually slept
@@ -880,8 +869,7 @@ class NetStack {
     std::uint64_t timer_wakeups = 0;    // woken by RTO/timeout deadline
     std::uint64_t queue_event_wakeups = 0;  // ended by RaiseQueueEvent
   };
-  WaitStats wait_stats() const;                     // all slots, summed
-  WaitStats wait_stats(std::uint16_t queue) const;  // one queue's slot
+  WaitStats wait_stats() const;  // all slots, summed
 
   ukplat::Clock* clock() { return clock_; }
   ukplat::MemRegion* mem() { return mem_; }
@@ -904,11 +892,6 @@ class NetStack {
   // loop sleeps — the deadline folds into NextTimerDeadline. In a polled loop
   // the end-of-turn flush in RunTcpTimers almost always beats it.
   std::uint64_t delack_cycles = 72'000'000;  // 20 ms at 3.6 GHz
-  // Modern fast path (NewReno + SACK + delayed ACKs + wscale offers). Flip
-  // off to get the pre-modernization stop-and-go stack: no TCP options
-  // offered, no cwnd gate, an ACK per in-order segment — kept as the
-  // baseline the tab5 --loss bench compares against.
-  bool tcp_modern = true;
   // TIME_WAIT linger, measured in Poll() cycles (a 2MSL equivalent for the
   // run-to-completion loop). Exposed so teardown tests stay fast.
   std::uint32_t time_wait_poll_budget = 64;

@@ -14,31 +14,11 @@
 //  * every receive that advances rcv_nxt_ owes the peer an ACK; the delayed
 //    ACK machinery bounds the debt to 2*MSS or one Poll/PollWait turn
 //    (RunTcpTimers flushes), whichever comes first.
-// The whole modern fast path gates on NetStack::tcp_modern; with it off the
-// socket behaves like the pre-modernization stack (no options, no cwnd, an
-// ACK per in-order segment) so benches can measure the delta.
 #include <cstring>
 
 #include "uknet/stack.h"
 
 namespace uknet {
-
-const char* TcpStateName(TcpState s) {
-  switch (s) {
-    case TcpState::kClosed: return "CLOSED";
-    case TcpState::kListen: return "LISTEN";
-    case TcpState::kSynSent: return "SYN_SENT";
-    case TcpState::kSynRcvd: return "SYN_RCVD";
-    case TcpState::kEstablished: return "ESTABLISHED";
-    case TcpState::kFinWait1: return "FIN_WAIT_1";
-    case TcpState::kFinWait2: return "FIN_WAIT_2";
-    case TcpState::kCloseWait: return "CLOSE_WAIT";
-    case TcpState::kLastAck: return "LAST_ACK";
-    case TcpState::kClosing: return "CLOSING";
-    case TcpState::kTimeWait: return "TIME_WAIT";
-  }
-  return "?";
-}
 
 void RecvRing::CopyFront(std::uint8_t* dst, std::size_t n) const {
   const std::size_t first = n < capacity_ - head_ ? n : capacity_ - head_;
@@ -140,16 +120,15 @@ std::int64_t TcpSocket::Send(std::span<const std::uint8_t> data) {
     if (want > space) {
       want = space;
     }
-    // Coalesce small writes into the trailing segment while it is below MSS.
-    // On the modern path only into a segment that has not been transmitted
-    // yet (a sent segment's end is a wire-frame boundary; growing it would
-    // strand snd_una_ mid-segment on the ACK and push later retransmissions
-    // off the retained-buffer path — legacy has no such contract and keeps
-    // the seed behavior). Also skip a buffer parked behind ARP resolution or
-    // in an open TX batch — those bytes are spoken for until the pending send
-    // releases its reference.
+    // Coalesce small writes into the trailing segment while it is below MSS,
+    // but only into a segment that has not been transmitted yet (a sent
+    // segment's end is a wire-frame boundary; growing it would strand
+    // snd_una_ mid-segment on the ACK and push later retransmissions off the
+    // retained-buffer path). Also skip a buffer parked behind ARP resolution
+    // or in an open TX batch — those bytes are spoken for until the pending
+    // send releases its reference.
     if (!retx_queue_.empty() && retx_queue_.back().len < kMss &&
-        (!stack_->tcp_modern || !SeqLt(retx_queue_.back().seq, snd_nxt_)) &&
+        !SeqLt(retx_queue_.back().seq, snd_nxt_) &&
         retx_queue_.back().nb->refcnt == 1) {
       TcpTxSegment& seg = retx_queue_.back();
       uknetdev::NetBuf* nb = seg.nb;
@@ -384,13 +363,8 @@ void TcpSocket::Output() {
   }
   std::uint32_t in_flight = snd_nxt_ - snd_una_;
   const std::uint32_t data_end = DataEnd();
-  // The send window: the peer's advertised (scaled) window, gated by cwnd
-  // when the modern fast path is on. Legacy mode keeps the raw stop-and-go
-  // behavior — flow control only.
-  std::uint32_t wnd = snd_wnd_;
-  if (stack_->tcp_modern && cwnd_ < wnd) {
-    wnd = cwnd_;
-  }
+  // The send window: the peer's advertised (scaled) window, gated by cwnd.
+  const std::uint32_t wnd = cwnd_ < snd_wnd_ ? cwnd_ : snd_wnd_;
   // Send queued segments the window allows. Whole segments go out
   // zero-copy; a budget that ends mid-segment makes the flow WAIT rather
   // than split — a split segment leaves snd_una_ landing mid-buffer on the
@@ -410,7 +384,7 @@ void TcpSocket::Output() {
     std::uint32_t budget = wnd - in_flight;
     std::uint32_t take = seg_end - snd_nxt_;
     if (take > budget) {
-      if (stack_->tcp_modern && in_flight > 0) {
+      if (in_flight > 0) {
         break;
       }
       take = budget;
@@ -454,7 +428,7 @@ void TcpSocket::CheckTimer() {
     // reassembly queue may not even hold the newest data). One probe per
     // stall: forward progress re-arms it, the exponential backoff takes
     // over if even the probe goes unanswered.
-    if (stack_->tcp_modern && sack_enabled_ && !tlp_probe_sent_ &&
+    if (sack_enabled_ && !tlp_probe_sent_ &&
         rto_backoff_ == 1 && !retx_queue_.empty() &&
         now - rtx_epoch_cycles_ >= stack_->rto_cycles / 4) {
       TcpTxSegment& seg = retx_queue_.front();
@@ -474,18 +448,16 @@ void TcpSocket::CheckTimer() {
   // the buffers were filled once, in Send().
   ++tcp_stats_.retransmissions;
   ++tcp_stats_.rto_retransmits;
-  if (stack_->tcp_modern) {
-    // RFC 5681 timeout response: remember half the flight, collapse cwnd to
-    // one segment (slow start rebuilds it), and back the timer off
-    // exponentially until an ACK shows forward progress.
-    std::uint32_t flight = snd_nxt_ - snd_una_;
-    std::uint32_t floor = 2 * kMss;
-    ssthresh_ = flight / 2 > floor ? flight / 2 : floor;
-    cwnd_ = kMss;
-    in_fast_recovery_ = false;
-    if (rto_backoff_ < stack_->rto_backoff_cap) {
-      rto_backoff_ *= 2;
-    }
+  // RFC 5681 timeout response: remember half the flight, collapse cwnd to
+  // one segment (slow start rebuilds it), and back the timer off
+  // exponentially until an ACK shows forward progress.
+  std::uint32_t flight = snd_nxt_ - snd_una_;
+  std::uint32_t floor = 2 * kMss;
+  ssthresh_ = flight / 2 > floor ? flight / 2 : floor;
+  cwnd_ = kMss;
+  in_fast_recovery_ = false;
+  if (rto_backoff_ < stack_->rto_backoff_cap) {
+    rto_backoff_ *= 2;
   }
   if (!RetransmitWindow(/*first_unacked_only=*/false) && fin_sent_) {
     EmitSegment(kTcpFin | kTcpAck, snd_nxt_ - 1);
@@ -552,9 +524,6 @@ void TcpSocket::OnAckProgress(std::uint32_t acked_bytes, std::uint32_t ack) {
   // flight (RFC 6298 5.3) — the deadline times the OLDEST unacked data from
   // the most recent evidence the path is moving, not from its original send.
   rtx_epoch_cycles_ = stack_->clock()->cycles();
-  if (!stack_->tcp_modern) {
-    return;
-  }
   if (in_fast_recovery_) {
     if (SeqLt(ack, recover_)) {
       // NewReno partial ACK: the first hole is repaired but more were lost
@@ -590,19 +559,6 @@ void TcpSocket::OnAckProgress(std::uint32_t acked_bytes, std::uint32_t ack) {
 void TcpSocket::OnDupAck() {
   ++tcp_stats_.dup_acks;
   ++dup_ack_count_;
-  if (!stack_->tcp_modern) {
-    // Legacy: trigger on every third dup ACK, counter resets.
-    if (dup_ack_count_ >= 3) {
-      dup_ack_count_ = 0;
-      ++tcp_stats_.retransmissions;
-      if (fin_sent_ && retx_queue_.empty()) {
-        EmitSegment(kTcpFin | kTcpAck, snd_una_);
-      } else {
-        RetransmitWindow(/*first_unacked_only=*/true);
-      }
-    }
-    return;
-  }
   // Tail-loss probe feedback: the probe re-sent the highest in-flight
   // segment, so the very next dup ACK tells us where it landed. If that
   // tail is now SACKed while the cumulative ACK still points at a hole,
@@ -750,10 +706,6 @@ void TcpSocket::DrainOutOfOrder() {
 }
 
 void TcpSocket::NoteAckOwed(std::size_t payload_bytes) {
-  if (!stack_->tcp_modern) {
-    AckNow();  // legacy: an ACK per in-order arrival
-    return;
-  }
   if (!delack_pending_) {
     delack_pending_ = true;
     delack_deadline_ = stack_->clock()->cycles() + stack_->delack_cycles;
@@ -801,17 +753,15 @@ void TcpSocket::OnSegment(std::uint16_t rx_queue, const TcpHeader& hdr,
         hdr.ack == snd_nxt_) {
       rcv_nxt_ = hdr.seq + 1;
       snd_una_ = hdr.ack;
-      // Option negotiation completes here: each extension is on only when
-      // both SYNs carried it. A plain-header peer degrades the connection
-      // to the classic 64KB / cumulative-ACK behavior.
-      if (rcv_wscale_offer_ >= 0 && hdr.wscale >= 0) {
+      // Option negotiation completes here: our SYN offered every extension,
+      // so each one is on when the SYN|ACK carries it. A plain-header peer
+      // degrades the connection to the classic 64KB / cumulative-ACK
+      // behavior.
+      if (hdr.wscale >= 0) {
         snd_wscale_ = hdr.wscale;
         rcv_wscale_ = rcv_wscale_offer_;
       }
-      sack_enabled_ = sack_offered_ && hdr.sack_permitted;
-      if (hdr.mss != 0) {
-        peer_mss_ = hdr.mss;
-      }
+      sack_enabled_ = hdr.sack_permitted;
       UpdateSendWindow(hdr);
       EnterState(TcpState::kEstablished);
       RaiseEvent(kEvtWritable);  // connect completed: the socket can send now
@@ -897,10 +847,10 @@ void TcpSocket::OnSegment(std::uint16_t rx_queue, const TcpHeader& hdr,
       // Old retransmission; re-ACK immediately so the peer advances.
       AckNow();
     } else {
-      // Above-window sequence: queue for reassembly (modern) and answer
-      // with an immediate dup ACK whose SACK blocks name the ranges held —
-      // the sender's fast retransmit re-bursts only the hole.
-      if (!stack_->tcp_modern || !QueueOutOfOrder(hdr.seq, payload)) {
+      // Above-window sequence: queue for reassembly and answer with an
+      // immediate dup ACK whose SACK blocks name the ranges held — the
+      // sender's fast retransmit re-bursts only the hole.
+      if (!QueueOutOfOrder(hdr.seq, payload)) {
         ++tcp_stats_.out_of_order_dropped;
       }
       AckNow();

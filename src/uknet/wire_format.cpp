@@ -35,11 +35,6 @@ Ip4Addr MakeIp(std::uint8_t a, std::uint8_t b, std::uint8_t c, std::uint8_t d) {
          (static_cast<Ip4Addr>(c) << 8) | d;
 }
 
-std::string IpToString(Ip4Addr ip) {
-  return std::to_string(ip >> 24) + "." + std::to_string((ip >> 16) & 0xff) + "." +
-         std::to_string((ip >> 8) & 0xff) + "." + std::to_string(ip & 0xff);
-}
-
 std::uint16_t InternetChecksum(std::span<const std::uint8_t> data, std::uint32_t initial) {
   // RFC 1071 §2: the one's-complement sum does not depend on byte order, so
   // add native-order 32-bit words into a 64-bit accumulator (it cannot

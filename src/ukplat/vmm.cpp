@@ -25,20 +25,9 @@ VmmModel VmmModel::Solo5() {
                   .pci_transport = false, .io_efficiency = 0.85};
 }
 
-VmmModel VmmModel::Xen() {
-  return VmmModel{.name = "xen", .startup_us = 12000.0, .per_nic_us = 2700.0,
-                  .pci_transport = false, .io_efficiency = 0.9};
-}
-
 VmmModel VmmModel::UHyve() {
   return VmmModel{.name = "uhyve", .startup_us = 4200.0, .per_nic_us = 500.0,
                   .pci_transport = false, .io_efficiency = 0.45};
-}
-
-const std::vector<VmmModel>& VmmModel::All() {
-  static const std::vector<VmmModel> kAll = {Qemu(), QemuMicroVm(), Firecracker(), Solo5(),
-                                             Xen(), UHyve()};
-  return kAll;
 }
 
 }  // namespace ukplat

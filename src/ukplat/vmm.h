@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ukplat {
 
@@ -29,10 +28,7 @@ struct VmmModel {
   static VmmModel QemuMicroVm();
   static VmmModel Firecracker();
   static VmmModel Solo5();
-  static VmmModel Xen();
   static VmmModel UHyve();
-
-  static const std::vector<VmmModel>& All();
 };
 
 }  // namespace ukplat

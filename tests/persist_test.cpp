@@ -681,6 +681,171 @@ TEST_F(PersistRedisTest, GetSetHotPathStaysZeroAllocWithAofOn) {
   EXPECT_GE(persist.stats().aof_appends, 16u * 5);  // warmup + measured phase
 }
 
+// ---- acknowledged means written ---------------------------------------------------
+
+// Forwards to the server's NIC and logs every TxBurst: whether one of its
+// frames carries a "+OK" reply, and how many flushes the disk had completed
+// when the burst left.
+class ReplyLogNetDev final : public uknetdev::NetDev {
+ public:
+  struct Burst {
+    bool carries_ok = false;
+    std::uint64_t disk_flushes = 0;
+  };
+
+  ReplyLogNetDev(uknetdev::NetDev* inner, const ukplat::MemRegion* mem,
+                 const ukblockdev::RamDisk* disk)
+      : inner_(inner), mem_(mem), disk_(disk) {}
+
+  const char* name() const override { return inner_->name(); }
+  uknetdev::DevInfo Info() const override { return inner_->Info(); }
+  uknetdev::MacAddr mac() const override { return inner_->mac(); }
+  ukarch::Status Configure(const uknetdev::DevConf& conf) override {
+    return inner_->Configure(conf);
+  }
+  ukarch::Status TxQueueSetup(std::uint16_t queue,
+                              const uknetdev::TxQueueConf& conf) override {
+    return inner_->TxQueueSetup(queue, conf);
+  }
+  ukarch::Status RxQueueSetup(std::uint16_t queue,
+                              const uknetdev::RxQueueConf& conf) override {
+    return inner_->RxQueueSetup(queue, conf);
+  }
+  ukarch::Status Start() override { return inner_->Start(); }
+  int TxBurst(std::uint16_t queue, uknetdev::NetBuf** pkt,
+              std::uint16_t* cnt) override {
+    Burst burst;
+    burst.disk_flushes = disk_->flushes();
+    for (std::uint16_t i = 0; i < *cnt; ++i) {
+      std::string_view frame(reinterpret_cast<const char*>(pkt[i]->Bytes(*mem_)),
+                             pkt[i]->len);
+      burst.carries_ok |= frame.find("+OK\r\n") != std::string_view::npos;
+    }
+    bursts.push_back(burst);
+    return inner_->TxBurst(queue, pkt, cnt);
+  }
+  int RxBurst(std::uint16_t queue, uknetdev::NetBuf** pkt,
+              std::uint16_t* cnt) override {
+    return inner_->RxBurst(queue, pkt, cnt);
+  }
+  ukarch::Status RxIntrEnable(std::uint16_t queue) override {
+    return inner_->RxIntrEnable(queue);
+  }
+  ukarch::Status RxIntrDisable(std::uint16_t queue) override {
+    return inner_->RxIntrDisable(queue);
+  }
+  Stats stats() const override { return inner_->stats(); }
+
+  std::vector<Burst> bursts;
+
+ private:
+  uknetdev::NetDev* inner_;
+  const ukplat::MemRegion* mem_;
+  const ukblockdev::RamDisk* disk_;
+};
+
+// A redis host whose NIC is wrapped in ReplyLogNetDev, with the AOF on a
+// ramdisk under /persist at the given fsync policy.
+struct LoggedRedisHost {
+  LoggedRedisHost(ukplat::Clock* clock, ukplat::Wire* wire, uknet::Ip4Addr ip,
+                  Persist::FsyncPolicy fsync)
+      : mem(32 << 20), disk(&mem, /*sectors=*/8192) {
+    std::uint64_t heap_gpa = mem.Carve(24 << 20, 4096);
+    alloc = ukalloc::CreateAllocator(ukalloc::Backend::kTlsf,
+                                     mem.At(heap_gpa, 24 << 20), 24 << 20);
+    uknetdev::VirtioNet::Config cfg;
+    cfg.wire_side = 1;
+    cfg.mac = uknetdev::MacAddr{{2, 0, 0, 0, 0, 2}};
+    cfg.queue_size = 128;
+    nic = std::make_unique<uknetdev::VirtioNet>(&mem, clock, wire, cfg);
+    log = std::make_unique<ReplyLogNetDev>(nic.get(), &mem, &disk);
+    stack = std::make_unique<uknet::NetStack>(&mem, clock, alloc.get());
+    uknet::NetIf::Config ifcfg;
+    ifcfg.ip = ip;
+    netif = stack->AddInterface(log.get(), ifcfg);
+    fs = std::make_unique<vfscore::BlockFs>(&disk, &mem);
+    EXPECT_TRUE(ukarch::Ok(fs->EnsureFormatted()));
+    EXPECT_TRUE(ukarch::Ok(vfs.Mount("/persist", fs.get())));
+    api = std::make_unique<posix::PosixApi>(clock, &vfs, stack.get(),
+                                            posix::DispatchMode::kDirectCall);
+    Persist::Config pcfg;
+    pcfg.dir = "/persist";
+    pcfg.fsync = fsync;
+    persist = std::make_unique<Persist>(&vfs, pcfg);
+    redis = std::make_unique<apps::RedisServer>(api.get(), alloc.get(), 6379);
+    EXPECT_TRUE(redis->Start());
+    redis->AttachPersist(persist.get());
+    redis->RecoverFromPersist();
+  }
+
+  ukplat::MemRegion mem;
+  std::unique_ptr<ukalloc::Allocator> alloc;
+  ukblockdev::RamDisk disk;  // outlives the NIC log that reads it
+  std::unique_ptr<uknetdev::VirtioNet> nic;
+  std::unique_ptr<ReplyLogNetDev> log;
+  std::unique_ptr<uknet::NetStack> stack;
+  uknet::NetIf* netif = nullptr;
+  std::unique_ptr<vfscore::BlockFs> fs;
+  vfscore::Vfs vfs;
+  std::unique_ptr<posix::PosixApi> api;
+  std::unique_ptr<Persist> persist;
+  std::unique_ptr<apps::RedisServer> redis;
+};
+
+// PERSIST.md's reply contract for EventLoop servers: at kEveryTurn and
+// kAlways, the burst that carries a SET's +OK leaves the NIC only after the
+// disk flush of the AOF record that logs the SET.
+TEST(DurableReplyTest, SetAcknowledgedOnlyAfterItsAofFlush) {
+  for (Persist::FsyncPolicy fsync :
+       {Persist::FsyncPolicy::kEveryTurn, Persist::FsyncPolicy::kAlways}) {
+    SCOPED_TRACE(fsync == Persist::FsyncPolicy::kEveryTurn ? "everyturn" : "always");
+    const uknet::Ip4Addr client_ip = netharness::MakeIp(10, 0, 0, 1);
+    const uknet::Ip4Addr server_ip = netharness::MakeIp(10, 0, 0, 2);
+    ukplat::Clock clock;
+    ukplat::Wire wire(&clock);
+    netharness::Host client(&clock, &wire, 0, client_ip);
+    LoggedRedisHost server(&clock, &wire, server_ip, fsync);
+    client.netif->AddArpEntry(server_ip, server.nic->mac());
+    server.netif->AddArpEntry(client_ip, client.nic->mac());
+    auto pump = [&] {
+      client.stack->Poll();
+      server.stack->Poll();
+      server.redis->PumpOnce();
+    };
+
+    auto sock = client.stack->TcpConnect(server_ip, 6379);
+    for (int i = 0; i < 300 && !sock->connected(); ++i) {
+      pump();
+    }
+    ASSERT_TRUE(sock->connected());
+
+    for (int k = 0; k < 3; ++k) {
+      const std::uint64_t flushes_before = server.disk.flushes();
+      server.log->bursts.clear();
+      const std::string set =
+          apps::RespCommand({"SET", "key" + std::to_string(k), "value"});
+      ASSERT_EQ(sock->Send(std::span(reinterpret_cast<const std::uint8_t*>(set.data()),
+                                     set.size())),
+                static_cast<std::int64_t>(set.size()));
+      std::string reply;
+      for (int i = 0; i < 300 && reply.empty(); ++i) {
+        pump();
+        std::uint8_t buf[64];
+        std::int64_t n;
+        while ((n = sock->Recv(buf)) > 0) {
+          reply.append(reinterpret_cast<char*>(buf), static_cast<std::size_t>(n));
+        }
+      }
+      ASSERT_EQ(reply, "+OK\r\n") << "SET " << k;
+      auto ok = std::find_if(server.log->bursts.begin(), server.log->bursts.end(),
+                             [](const ReplyLogNetDev::Burst& b) { return b.carries_ok; });
+      ASSERT_NE(ok, server.log->bursts.end()) << "SET " << k;
+      EXPECT_GT(ok->disk_flushes, flushes_before)
+          << "SET " << k << " was acknowledged before its AOF record was flushed";
+    }
+  }
+}
+
 // ---- kvstore end-to-end -----------------------------------------------------------
 
 // The sharded specialized server: two RSS queues, one persist shard per

@@ -5,8 +5,9 @@
 //
 // The scenarios pin down the recovery contract documented in
 // src/uknet/DATAPATH.md:
-//  * SYN option negotiation is byte-exact on the wire and degrades to the
-//    legacy stop-and-go behaviour against an option-less peer;
+//  * SYN option negotiation is byte-exact on the wire, a SYN|ACK echoes only
+//    the options its SYN offered, and an option-less peer turns SACK and
+//    window scaling off;
 //  * a single mid-window loss retransmits exactly ONE segment (the SACK
 //    scoreboard spares the rest) with zero TX-pool churn;
 //  * fast retransmit needs exactly three duplicate ACKs, not two;
@@ -123,16 +124,64 @@ TEST_F(TcpLossTest, SynCarriesMssWscaleSackPermittedByteExact) {
   EXPECT_TRUE(std::equal(got.begin(), got.end(), want));
 }
 
-// Legacy mode sends a bare 20-byte SYN: the stop-and-go baseline is
-// bit-identical to the pre-modernization stack.
-TEST_F(TcpLossTest, LegacyModeSynHasNoOptions) {
-  host_.stack->tcp_modern = false;
-  auto client = host_.stack->TcpConnect(peer_.ip, 80);
-  ASSERT_NE(client, nullptr);
+// Passive open, plain SYN: the SYN|ACK carries MSS and nothing else. RFC 7323
+// and RFC 2018 allow window scale and SACK-permitted on a SYN|ACK only when
+// the SYN offered them, and the accepted socket runs without either.
+TEST_F(TcpLossTest, PassiveOpenAnswersPlainSynWithMssOnly) {
+  auto listener = host_.stack->TcpListen(90);
+  ASSERT_NE(listener, nullptr);
+  peer_.SendTcp(40000, 90, kTcpSyn, 5000, 0, 65535);
   Pump();
   ASSERT_FALSE(peer_.segs.empty());
-  EXPECT_EQ(peer_.segs.back().hdr.flags, kTcpSyn);
-  EXPECT_FALSE(peer_.segs.back().HasOptions());
+  const auto synack = peer_.segs.back();
+  ASSERT_EQ(synack.hdr.flags, kTcpSyn | kTcpAck);
+  EXPECT_EQ(synack.hdr.ack, 5001u);
+  EXPECT_EQ(synack.hdr.mss, kMss);
+  EXPECT_EQ(synack.hdr.wscale, -1);
+  EXPECT_FALSE(synack.hdr.sack_permitted);
+  const std::uint8_t want[] = {2, 4, 0x05, 0x78};  // MSS = 1400, no padding
+  auto got = synack.OptionBytes();
+  ASSERT_EQ(got.size(), sizeof(want));
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want));
+
+  peer_.SendTcp(40000, 90, kTcpAck, 5001, synack.hdr.seq + 1, 1000);
+  Pump();
+  auto server = listener->Accept();
+  ASSERT_NE(server, nullptr);
+  EXPECT_FALSE(server->sack_enabled());
+  EXPECT_EQ(server->send_wscale(), 0);
+  EXPECT_EQ(server->recv_wscale(), 0);
+  EXPECT_EQ(server->send_window(), 1000u);
+}
+
+// Passive open, SYN offering MSS, window scale 3 and SACK-permitted: the
+// SYN|ACK echoes window scale and SACK-permitted, and the accepted socket
+// applies shift 3 to every window after the handshake.
+TEST_F(TcpLossTest, PassiveOpenEchoesOfferedWscaleAndSack) {
+  auto listener = host_.stack->TcpListen(91);
+  ASSERT_NE(listener, nullptr);
+  peer_.SendTcpWithOptions(40001, 91, kTcpSyn, 7000, 0, /*window=*/1000, kMss,
+                           /*wscale=*/3, /*sack_permitted=*/true);
+  Pump();
+  ASSERT_FALSE(peer_.segs.empty());
+  const auto synack = peer_.segs.back();
+  ASSERT_EQ(synack.hdr.flags, kTcpSyn | kTcpAck);
+  EXPECT_EQ(synack.hdr.ack, 7001u);
+  EXPECT_EQ(synack.hdr.mss, kMss);
+  EXPECT_EQ(synack.hdr.wscale, 0);  // the default 64 KiB buffer needs no shift
+  EXPECT_TRUE(synack.hdr.sack_permitted);
+
+  peer_.SendTcp(40001, 91, kTcpAck, 7001, synack.hdr.seq + 1, 1000);
+  Pump();
+  auto server = listener->Accept();
+  ASSERT_NE(server, nullptr);
+  EXPECT_TRUE(server->sack_enabled());
+  EXPECT_EQ(server->send_wscale(), 3);
+  EXPECT_EQ(server->recv_wscale(), 0);
+  EXPECT_EQ(server->send_window(), 1000u << 3);
+  peer_.SendTcp(40001, 91, kTcpAck, 7001, synack.hdr.seq + 1, 2000);
+  Pump();
+  EXPECT_EQ(server->send_window(), 2000u << 3);
 }
 
 // An option-less SYN|ACK (the stock Handshake helper) turns every modern
